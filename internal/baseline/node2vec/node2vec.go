@@ -178,7 +178,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 			vecmath.Zero(sc.srcGrad)
 			apply := func(x int32, label float32) {
 				tx := sc.row(&sc.tgt, store.TargetVec, x)
-				// Same fused serial kernels as internal/core's applyExample:
+				// Same fused serial kernels as the per-example SGD step:
 				// one-accumulator logit order and a fused pair of gradient
 				// writes (tx aliases the read operand legally), so the walk
 				// trajectory is unchanged bitwise.

@@ -43,6 +43,19 @@ func goldenCases() []goldenCase {
 				Workers: 1, Seed: 7,
 			},
 		},
+		// The configuration every workload and CLI trains at (K=50, L=50,
+		// α=0.1, |N|=5, uniform negatives, biases on). K=50 is not a
+		// multiple of the kernels' 8-wide window, so this case also pins
+		// their tail loops. Its fixture predates the block SGD step.
+		{
+			name: "k50-neg5",
+			cfg: Config{
+				Dim: 50, ContextLength: 50, Alpha: 0.1,
+				LearningRate: 0.025, DecayLearningRate: true,
+				NegativeSamples: 5, Iterations: 3,
+				Workers: 1, Seed: 5,
+			},
+		},
 	}
 }
 

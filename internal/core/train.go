@@ -445,40 +445,127 @@ func makeWorkerRNGs(cfg Config, root *rng.RNG) []*rng.RNG {
 }
 
 // sgnsObjective adapts the Eq. 5/6 skip-gram negative-sampling update to the
-// engine: each example is one corpus tuple, processed exactly as the
-// original hand-rolled pass did — the golden test pins this adaptation
-// bitwise to the pre-engine implementation. Loss sums the Eq. 4 objective;
-// Examples counts positives.
+// engine: each example is one corpus tuple, and each positive in it is one
+// block step (sgnsBlock.step) over the positive and its negatives. The
+// golden test and TestBlockStepMatchesPerExample pin the result bitwise to
+// updating the examples one by one. Loss sums the Eq. 4 objective; Examples
+// counts positives.
 func sgnsObjective(store *embed.Store, tuples []Tuple, neg *rng.UnigramTable, cfg Config, gamma float32) trainer.HogwildObjective {
+	negatives, biases := cfg.NegativeSamples, !cfg.DisableBiases
 	return func(r *rng.RNG) trainer.PassFunc {
-		// srcGrad accumulates the update for S_u across one positive + its
-		// negatives, word2vec style; per-worker scratch reused across tuples.
-		srcGrad := make([]float32, store.Dim())
+		b := newSGNSBlock(store, negatives, gamma, biases)
 		return func(ti int, tot *trainer.Totals) {
 			t := &tuples[ti]
 			u := t.Center
-			su := store.SourceVec(u)
-			bu := store.BiasSource(u)
 			for _, v := range t.Context {
-				vecmath.Zero(srcGrad)
-
-				// Positive example: label 1, gradient coefficient (1 - σ(z_v)).
-				tot.Loss += applyExample(store, su, bu, u, v, 1, gamma, srcGrad, cfg)
-				tot.Examples++
-
-				// Negative examples: label 0, coefficient (0 - σ(z_w)).
-				for s := 0; s < cfg.NegativeSamples; s++ {
+				// The draws read no parameters, so drawing every negative
+				// before any update consumes the stream in the same order
+				// as drawing each one just before its own update.
+				b.targets = append(b.targets[:0], v)
+				for s := 0; s < negatives; s++ {
 					w, ok := sampleNegative(neg, r, u, v)
 					if !ok {
 						tot.Skips++
 						continue
 					}
-					tot.Loss += applyExample(store, su, bu, u, w, 0, gamma, srcGrad, cfg)
+					b.targets = append(b.targets, w)
 				}
-				vecmath.Axpy(1, srcGrad, su)
+				b.step(u, &tot.Loss)
+				tot.Examples++
 			}
 		}
 	}
+}
+
+// sgnsBlock is one worker's SGD block step: one positive target and its
+// negatives, all updated against the same S_u row. Its slices are scratch
+// sized for 1+|N| targets and reused, so a step allocates nothing.
+type sgnsBlock struct {
+	store  *embed.Store
+	gamma  float32
+	biases bool
+
+	targets []int32     // the positive first, then the negatives drawn
+	rows    [][]float32 // T rows of the current sub-block
+	z, g    []float32   // per-row logit without biases, and gradient coefficient
+	srcGrad []float32   // S_u gradient, accumulated over the whole block
+}
+
+func newSGNSBlock(store *embed.Store, negatives int, gamma float32, biases bool) *sgnsBlock {
+	n := 1 + negatives
+	return &sgnsBlock{
+		store: store, gamma: gamma, biases: biases,
+		targets: make([]int32, 0, n),
+		rows:    make([][]float32, n),
+		z:       make([]float32, n),
+		g:       make([]float32, n),
+		srcGrad: make([]float32, store.Dim()),
+	}
+}
+
+// step applies the block's examples for center u: label 1 for targets[0],
+// label 0 for the rest. It adds each example's Eq. 4 term to *loss in
+// example order. Every parameter element sees the float32 operations of
+// updating the examples one by one, in the same order:
+//
+//   - S_u is read by every logit and every T update, and updated once at the
+//     end by the accumulated gradient, exactly as per example;
+//   - each logit adds the running b_u, updated in example order;
+//   - within a sub-block the T rows are distinct, so computing all logits
+//     first (vecmath.DotRows) and then sweeping all updates coordinate by
+//     coordinate (vecmath.AxpyRows) reorders only independent operations.
+//
+// A target that repeats one already in the sub-block starts a new
+// sub-block, so its logit reads the earlier update of its T row and bias.
+func (b *sgnsBlock) step(u int32, loss *float64) {
+	su := b.store.SourceVec(u)
+	bu := b.store.BiasSource(u)
+	vecmath.Zero(b.srcGrad)
+	for lo := 0; lo < len(b.targets); {
+		hi := subBlockEnd(b.targets, lo)
+		targets := b.targets[lo:hi]
+		rows, z, g := b.rows[:len(targets)], b.z[:len(targets)], b.g[:len(targets)]
+		for k, x := range targets {
+			rows[k] = b.store.TargetVec(x)
+		}
+		vecmath.DotRows(su, rows, z)
+		for k, x := range targets {
+			label := float32(0)
+			if lo+k == 0 {
+				label = 1
+			}
+			zk := z[k]
+			if b.biases {
+				zk += *bu + *b.store.BiasTarget(x)
+			}
+			gk := (label - vecmath.FastSigmoid(zk)) * b.gamma
+			g[k] = gk
+			if b.biases {
+				*bu += gk
+				*b.store.BiasTarget(x) += gk
+			}
+			if label == 1 {
+				*loss += vecmath.LogSigmoid(float64(zk))
+			} else {
+				*loss += vecmath.LogSigmoid(-float64(zk))
+			}
+		}
+		vecmath.AxpyRows(g, rows, su, b.srcGrad, hi == len(b.targets))
+		lo = hi
+	}
+}
+
+// subBlockEnd returns the end of the sub-block that starts at lo: the index
+// of the first target repeating one in targets[lo:hi], or len(targets).
+func subBlockEnd(targets []int32, lo int) int {
+	for hi := lo + 1; hi < len(targets); hi++ {
+		for _, t := range targets[lo:hi] {
+			if t == targets[hi] {
+				return hi
+			}
+		}
+	}
+	return len(targets)
 }
 
 // maxNegativeDraws bounds sampleNegative's rejection loop.
@@ -497,34 +584,4 @@ func sampleNegative(neg *rng.UnigramTable, r *rng.RNG, u, v int32) (int32, bool)
 		}
 	}
 	return 0, false
-}
-
-// applyExample performs the shared positive/negative update for pair (u,x)
-// with the given label, accumulating the S_u gradient into srcGrad (applied
-// by the caller once per positive block, word2vec style) and updating T_x
-// and the biases in place. It returns the example's log-sigmoid objective
-// contribution.
-func applyExample(store *embed.Store, su []float32, bu *float32, u, x int32, label float32, gamma float32, srcGrad []float32, cfg Config) float64 {
-	tx := store.TargetVec(x)
-	// Fused serial kernels: DotBiasSigmoid/DotSigmoid compute the logit in
-	// the one-accumulator order the golden test pins, and AxpyTwo fuses the
-	// two gradient writes (srcGrad += g·T_x, then T_x += g·S_u — T_x legally
-	// aliases the kernel's read operand) into one bounds-check-free sweep.
-	var z, sig float32
-	if cfg.DisableBiases {
-		z, sig = vecmath.DotSigmoid(su, tx)
-	} else {
-		z, sig = vecmath.DotBiasSigmoid(su, tx, *bu+*store.BiasTarget(x))
-	}
-	g := (label - sig) * gamma
-
-	vecmath.AxpyTwo(g, tx, srcGrad, su, tx) // ∂/∂S_u accumulates (label-σ)·T_x; ∂/∂T_x = (label-σ)·S_u
-	if !cfg.DisableBiases {
-		*bu += g
-		*store.BiasTarget(x) += g
-	}
-	if label == 1 {
-		return vecmath.LogSigmoid(float64(z))
-	}
-	return vecmath.LogSigmoid(-float64(z))
 }

@@ -104,9 +104,20 @@ func shardBounds(w, chunk, n int) (lo, hi int) {
 }
 
 // shard runs one worker's slice of the pass, polling done every
-// cancelCheckInterval examples.
+// cancelCheckInterval examples, and stores the shard's totals in t.
+//
+// Every example writes the totals and every draw writes the stream state.
+// The callers' streams and totals are small neighbouring objects (one RNG
+// per worker allocated in a row, one Totals slice), so updating them in
+// place would bounce shared cache lines between the workers' cores. The
+// shard therefore works on its own copy of both and writes them back when
+// it returns, early on cancellation included; at one worker, and in
+// Sequential mode, the results are bitwise those of updating in place.
 func (p *HogwildPass) shard(done <-chan struct{}, order []int, r *rng.RNG, t *Totals) {
-	pass := p.Objective(r)
+	local := *r
+	var tot Totals
+	defer func() { *r, *t = local, tot }()
+	pass := p.Objective(&local)
 	for idx, ex := range order {
 		if done != nil && idx%cancelCheckInterval == 0 {
 			select {
@@ -115,6 +126,6 @@ func (p *HogwildPass) shard(done <-chan struct{}, order []int, r *rng.RNG, t *To
 			default:
 			}
 		}
-		pass(ex, t)
+		pass(ex, &tot)
 	}
 }

@@ -124,6 +124,48 @@ func TestHogwildCancellation(t *testing.T) {
 	}
 }
 
+// TestHogwildShardWritesBack pins that a shard, which works on private
+// copies of its stream and totals, hands both back to the caller: after a
+// full pass, and after a pass canceled mid-shard, the caller's stream has
+// advanced by exactly the draws the processed examples made, and the
+// totals count exactly those examples.
+func TestHogwildShardWritesBack(t *testing.T) {
+	for _, cancelAt := range []int{-1, 300} {
+		done := make(chan struct{})
+		r := rng.New(5)
+		p := HogwildPass{
+			Order: make([]int, 1000),
+			RNGs:  []*rng.RNG{r},
+			Objective: func(r *rng.RNG) PassFunc {
+				return func(ex int, tot *Totals) {
+					if int(tot.Examples) == cancelAt {
+						close(done)
+					}
+					r.Uint64()
+					tot.Loss += 0.5
+					tot.Examples++
+				}
+			},
+		}
+		tot := p.Run(done)
+		// Cancellation is observed at the next check interval boundary.
+		want := int64(len(p.Order))
+		if cancelAt >= 0 {
+			want = int64((cancelAt/cancelCheckInterval + 1) * cancelCheckInterval)
+		}
+		if tot.Examples != want || tot.Loss != 0.5*float64(want) {
+			t.Errorf("cancelAt=%d: totals %+v, want %d examples", cancelAt, tot, want)
+		}
+		ref := rng.New(5)
+		for i := int64(0); i < want; i++ {
+			ref.Uint64()
+		}
+		if r.State() != ref.State() {
+			t.Errorf("cancelAt=%d: caller's stream not advanced by the shard's %d draws", cancelAt, want)
+		}
+	}
+}
+
 // detTrace runs a small deterministic pass that exercises randomness,
 // shuffling, and parameter-coupled commits, returning the committed
 // sequence. Any dependence on worker count or scheduling would change it.

@@ -6,22 +6,23 @@ import (
 	"testing"
 )
 
-// Scalar reference implementations: the pre-blocking kernels, kept verbatim so
-// the tests below can pin the blocked versions against them — bitwise for the
-// serial family, within float tolerance for the reassociated family — and so
-// the benchmarks measure the real before/after ratio.
+// Scalar reference implementations: the pre-blocking kernels, so the tests
+// below can pin the blocked versions against them — bitwise for the serial
+// family, within float tolerance for the reassociated family. The bitwise
+// references round each product like the kernels do, so that gc cannot fuse
+// them on arm64 either.
 
 func scalarDot(a, b []float32) float32 {
 	var s float32
 	for i, v := range a {
-		s += v * b[i]
+		s += float32(v * b[i])
 	}
 	return s
 }
 
 func scalarAxpy(alpha float32, b, a []float32) {
 	for i, v := range b {
-		a[i] += alpha * v
+		a[i] += float32(alpha * v)
 	}
 }
 
@@ -167,6 +168,86 @@ func TestAxpyTwoBitwiseSequential(t *testing.T) {
 	}
 }
 
+// rowsOf returns n distinct random rows of length d.
+func rowsOf(rng *rand.Rand, n, d int) [][]float32 {
+	rows := make([][]float32, n)
+	for k := range rows {
+		rows[k] = randVec(rng, d, 3)
+	}
+	return rows
+}
+
+// TestDotRowsBitwiseSerial pins DotRows to the one-accumulator scalar dot of
+// each row, at every row count around the six-row grouping and every
+// length around the scalar kernels' unroll.
+func TestDotRowsBitwiseSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range tailLengths {
+		for rowCount := 0; rowCount <= 13; rowCount++ {
+			x := randVec(rng, n, 3)
+			rows := rowsOf(rng, rowCount, n)
+			out := make([]float32, rowCount)
+			DotRows(x, rows, out)
+			for k, r := range rows {
+				if want := scalarDot(x, r); math.Float32bits(out[k]) != math.Float32bits(want) {
+					t.Fatalf("n=%d rows=%d: out[%d] = %x, scalar dot %x", n, rowCount, k,
+						math.Float32bits(out[k]), math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyRowsBitwiseSequential pins the coordinate-major AxpyRows against
+// the row-by-row sequence it replaces: for each row in order, the gradient
+// accumulation acc += g·row followed by the row update row += g·x, and with
+// apply set, x += acc once at the end.
+func TestAxpyRowsBitwiseSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, n := range tailLengths {
+		for rowCount := 0; rowCount <= 13; rowCount++ {
+			for _, apply := range []bool{false, true} {
+				x := randVec(rng, n, 3)
+				acc := randVec(rng, n, 3)
+				rows := rowsOf(rng, rowCount, n)
+				g := randVec(rng, rowCount, 1)
+
+				wantX := append([]float32(nil), x...)
+				wantAcc := append([]float32(nil), acc...)
+				wantRows := make([][]float32, rowCount)
+				for k, r := range rows {
+					wantRows[k] = append([]float32(nil), r...)
+					scalarAxpy(g[k], wantRows[k], wantAcc)
+					scalarAxpy(g[k], wantX, wantRows[k])
+				}
+				if apply {
+					scalarAxpy(1, wantAcc, wantX)
+				}
+
+				AxpyRows(g, rows, x, acc, apply)
+				for i := range acc {
+					if math.Float32bits(acc[i]) != math.Float32bits(wantAcc[i]) {
+						t.Fatalf("n=%d rows=%d apply=%v: acc[%d] = %x, want %x", n, rowCount, apply, i,
+							math.Float32bits(acc[i]), math.Float32bits(wantAcc[i]))
+					}
+					if math.Float32bits(x[i]) != math.Float32bits(wantX[i]) {
+						t.Fatalf("n=%d rows=%d apply=%v: x[%d] = %x, want %x", n, rowCount, apply, i,
+							math.Float32bits(x[i]), math.Float32bits(wantX[i]))
+					}
+				}
+				for k := range rows {
+					for i := range rows[k] {
+						if math.Float32bits(rows[k][i]) != math.Float32bits(wantRows[k][i]) {
+							t.Fatalf("n=%d rows=%d apply=%v: rows[%d][%d] = %x, want %x", n, rowCount, apply, k, i,
+								math.Float32bits(rows[k][i]), math.Float32bits(wantRows[k][i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSquaredDistanceMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range tailLengths {
@@ -217,6 +298,15 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 	mustPanic("DotSigmoid", func() { DotSigmoid(one, two) })
 	mustPanic("DotBiasSigmoid", func() { DotBiasSigmoid(one, two, 0) })
 	mustPanic("AxpyTwo", func() { AxpyTwo(1, one, two, one, one) })
+	mustPanic("DotRows out", func() { DotRows(one, [][]float32{one}, two) })
+	mustPanic("DotRows row", func() { DotRows(one, [][]float32{one, one, one, one, one, two}, make([]float32, 6)) })
+	mustPanic("DotRows tail row", func() { DotRows(one, [][]float32{two}, one) })
+	mustPanic("AxpyRows g", func() { AxpyRows(two, [][]float32{one}, one, one, false) })
+	mustPanic("AxpyRows row", func() {
+		AxpyRows(make([]float32, 6), [][]float32{one, two, one, one, one, one}, one, one, false)
+	})
+	mustPanic("AxpyRows tail row", func() { AxpyRows(one, [][]float32{two}, one, one, false) })
+	mustPanic("AxpyRows acc", func() { AxpyRows(one, [][]float32{one}, one, two, true) })
 	mustPanic("SquaredDistance", func() { SquaredDistance(one, two) })
 	mustPanic("Int8Dot", func() { Int8Dot([]int8{1}, []int8{1, 2}) })
 	mustPanic("QuantizeRow", func() { QuantizeRow(one, []int8{1, 2}) })
