@@ -74,11 +74,11 @@ func main() {
 	// Judge both against the hidden ground truth: Monte-Carlo IC simulation
 	// with the planted edge probabilities the learners never saw.
 	r := rng.New(99)
-	embSpread, err := ic.ExpectedSpread(context.Background(), ds.Graph, ds.TrueProbs, res.Seeds, mcRuns, r)
+	embSpread, err := ic.ExpectedSpread(context.Background(), ds.TrueProbs, res.Seeds, mcRuns, r)
 	if err != nil {
 		log.Fatal(err)
 	}
-	degSpread, err := ic.ExpectedSpread(context.Background(), ds.Graph, ds.TrueProbs, degSeeds, mcRuns, r)
+	degSpread, err := ic.ExpectedSpread(context.Background(), ds.TrueProbs, degSeeds, mcRuns, r)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func RunStudy(d *Data, cfg StudyConfig) (*StudyResult, error) {
 		}
 
 		embTop := topK(n, exclude, cfg.TopK, func(v int32) float64 { return embedding.Score(u, v) })
-		mc, err := ic.MonteCarlo(context.Background(), g, probs, []int32{u}, cfg.MonteCarloRuns, mcRNG)
+		mc, err := ic.MonteCarlo(context.Background(), probs, []int32{u}, cfg.MonteCarloRuns, mcRNG)
 		if err != nil {
 			return nil, fmt.Errorf("citation: monte carlo: %w", err)
 		}

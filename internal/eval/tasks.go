@@ -149,11 +149,20 @@ func LatentDiffusionScorer(s PairScorer, agg Aggregator, numUsers int32) Diffusi
 
 // MonteCarloDiffusionScorer adapts an edge-probability model to the
 // diffusion-prediction task: each user's score is its activation frequency
-// over runs IC simulations from the seeds (the paper uses 5,000 runs).
+// over runs IC simulations from the seeds (the paper uses 5,000 runs). The
+// first call tabulates p (ic.Tabulate); every call simulates over the table.
 func MonteCarloDiffusionScorer(g *graph.Graph, p ic.EdgeProber, runs int, seed uint64) DiffusionScoreFunc {
 	r := rng.New(seed)
+	var table *ic.EdgeProbs
 	return func(seeds []int32) ([]float64, error) {
-		return ic.MonteCarlo(context.Background(), g, p, seeds, runs, r)
+		if table == nil {
+			t, err := ic.Tabulate(context.Background(), g, p)
+			if err != nil {
+				return nil, err
+			}
+			table = t
+		}
+		return ic.MonteCarlo(context.Background(), table, seeds, runs, r)
 	}
 }
 

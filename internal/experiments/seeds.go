@@ -83,7 +83,7 @@ func (s *Suite) SeedsAnytime() ([]SeedsRow, error) {
 		r := rng.New(s.opts.Seed + 81)
 		spread := 0.0
 		if len(res.Seeds) > 0 {
-			spread, err = ic.ExpectedSpread(context.Background(), ds.Graph, ds.TrueProbs, res.Seeds, 2*mcRuns, r)
+			spread, err = ic.ExpectedSpread(context.Background(), ds.TrueProbs, res.Seeds, 2*mcRuns, r)
 			if err != nil {
 				return err
 			}

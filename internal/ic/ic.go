@@ -3,22 +3,47 @@
 // Linear Threshold (LT) model — together with the Monte-Carlo machinery
 // used to score diffusion prediction for edge-probability methods.
 //
-// All simulators consume edge probabilities through the EdgeProber
-// interface, which the DE/ST/EM/Emb-IC baselines implement.
+// The IC simulators (SimulateIC, MonteCarlo, ExpectedSpread) run over an
+// EdgeProbs table that stores one probability per edge beside the graph's
+// CSR adjacency; Tabulate fills one from any EdgeProber. SimulateLT and
+// ActivationProb consume the EdgeProber interface directly, which the
+// DE/ST/EM/Emb-IC baselines implement.
 package ic
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"inf2vec/internal/graph"
 	"inf2vec/internal/rng"
 )
 
 // EdgeProber supplies the influence probability P_uv of a directed edge.
-// Implementations return 0 for non-edges.
+// Implementations return 0 for non-edges. Prob must be a pure function of
+// (u, v) for as long as a caller uses it: Tabulate reads each edge once and
+// the table answers for the prober from then on.
 type EdgeProber interface {
 	Prob(u, v int32) float64
+}
+
+// Tabulate reads p once per edge of g, in CSR order, into an EdgeProbs.
+// Each value is stored as returned, neither clamped nor validated, so a NaN
+// never fires in the IC simulators. ctx is checked between source nodes; on
+// expiry the partial table is discarded and ctx.Err() is returned.
+func Tabulate(ctx context.Context, g *graph.Graph, p EdgeProber) (*EdgeProbs, error) {
+	e := NewEdgeProbs(g)
+	for u := int32(0); u < g.NumNodes(); u++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		adj := g.OutNeighbors(u)
+		row := e.p[e.offset(u):][:len(adj)]
+		for j, v := range adj {
+			row[j] = p.Prob(u, v)
+		}
+	}
+	return e, nil
 }
 
 // ActivationProb is the one-shot activation probability of Eq. 8:
@@ -35,32 +60,37 @@ func ActivationProb(p EdgeProber, active []int32, v int32) float64 {
 // returns the activation mask. Each newly activated node gets a single
 // chance to activate each currently inactive out-neighbor with the edge's
 // probability; the process ends when no new node activates.
-func SimulateIC(g *graph.Graph, p EdgeProber, seeds []int32, r *rng.RNG) []bool {
-	active := make([]bool, g.NumNodes())
-	frontier := make([]int32, 0, len(seeds))
+func SimulateIC(p *EdgeProbs, seeds []int32, r *rng.RNG) []bool {
+	active := make([]bool, p.g.NumNodes())
+	p.cascade(seeds, r, active, nil)
+	return active
+}
+
+// cascade runs one IC realization, marking each node it activates in active
+// and appending it to queue[:0]. The queue is the breadth-first frontier:
+// the sanitized seeds (in range, first occurrence) in order, then every
+// activation in discovery order. One r.Float64() is drawn per trial on a
+// not-yet-active out-neighbor, in frontier order then adjacency order.
+func (e *EdgeProbs) cascade(seeds []int32, r *rng.RNG, active []bool, queue []int32) []int32 {
+	queue = queue[:0]
 	for _, s := range seeds {
-		if s >= 0 && s < g.NumNodes() && !active[s] {
+		if s >= 0 && s < e.g.NumNodes() && !active[s] {
 			active[s] = true
-			frontier = append(frontier, s)
+			queue = append(queue, s)
 		}
 	}
-	var next []int32
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, v := range g.OutNeighbors(u) {
-				if active[v] {
-					continue
-				}
-				if r.Float64() < p.Prob(u, v) {
-					active[v] = true
-					next = append(next, v)
-				}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		adj := e.g.OutNeighbors(u)
+		p := e.p[e.offset(u):][:len(adj)] // len(adj) lets the compiler drop p[j]'s bounds check
+		for j, v := range adj {
+			if !active[v] && r.Float64() < p[j] {
+				active[v] = true
+				queue = append(queue, v)
 			}
 		}
-		frontier, next = next, frontier
 	}
-	return active
+	return queue
 }
 
 // SimulateLT runs one linear-threshold realization: each node draws a
@@ -112,25 +142,14 @@ func SimulateLT(g *graph.Graph, w EdgeProber, seeds []int32, r *rng.RNG) []bool 
 // estimations — so a serving deadline bounds the latency of even a single
 // expensive spread evaluation. On expiry the partial estimate is discarded
 // and ctx.Err() is returned.
-func MonteCarlo(ctx context.Context, g *graph.Graph, p EdgeProber, seeds []int32, runs int, r *rng.RNG) ([]float64, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("ic: MonteCarlo needs positive runs, got %d", runs)
+func MonteCarlo(ctx context.Context, p *EdgeProbs, seeds []int32, runs int, r *rng.RNG) ([]float64, error) {
+	counts, err := p.activations(ctx, seeds, runs, r)
+	if err != nil {
+		return nil, err
 	}
-	counts := make([]int64, g.NumNodes())
-	for i := 0; i < runs; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		active := SimulateIC(g, p, seeds, r)
-		for v, a := range active {
-			if a {
-				counts[v]++
-			}
-		}
-	}
-	probs := make([]float64, g.NumNodes())
-	for v := range probs {
-		probs[v] = float64(counts[v]) / float64(runs)
+	probs := make([]float64, len(counts))
+	for v, c := range counts {
+		probs[v] = float64(c) / float64(runs)
 	}
 	return probs, nil
 }
@@ -139,21 +158,52 @@ func MonteCarlo(ctx context.Context, g *graph.Graph, p EdgeProber, seeds []int32
 // influence-maximization objective used by the viral-marketing example and
 // the /v1/seeds workload. Like MonteCarlo it observes ctx between simulation
 // runs and returns ctx.Err() on expiry.
-func ExpectedSpread(ctx context.Context, g *graph.Graph, p EdgeProber, seeds []int32, runs int, r *rng.RNG) (float64, error) {
-	probs, err := MonteCarlo(ctx, g, p, seeds, runs, r)
+func ExpectedSpread(ctx context.Context, p *EdgeProbs, seeds []int32, runs int, r *rng.RNG) (float64, error) {
+	counts, err := p.activations(ctx, seeds, runs, r)
 	if err != nil {
 		return 0, err
 	}
+	// MonteCarlo's per-node probabilities, summed in node order: summing
+	// the counts first would round differently. A node never active adds
+	// +0, which leaves the sum's bits alone, so it is skipped.
 	var total float64
-	for _, pr := range probs {
-		total += pr
+	for _, c := range counts {
+		if c != 0 {
+			total += float64(c) / float64(runs)
+		}
 	}
 	return total, nil
 }
 
+// activations simulates IC runs times and returns how often each node was
+// active, checking ctx before every run.
+func (e *EdgeProbs) activations(ctx context.Context, seeds []int32, runs int, r *rng.RNG) ([]int64, error) {
+	if runs <= 0 {
+		return nil, fmt.Errorf("ic: MonteCarlo needs positive runs, got %d", runs)
+	}
+	counts := make([]int64, e.g.NumNodes())
+	active := make([]bool, e.g.NumNodes())
+	var queue []int32
+	for i := 0; i < runs; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Only the activated nodes are counted and cleared, so a run costs
+		// its cascade, not a pass over every node.
+		queue = e.cascade(seeds, r, active, queue)
+		for _, v := range queue {
+			counts[v]++
+			active[v] = false
+		}
+	}
+	return counts, nil
+}
+
 // EdgeProbs is a concrete EdgeProber storing one probability per edge of a
 // fixed graph, laid out parallel to the graph's CSR adjacency so lookups
-// cost one binary search. It is the storage used by the ST and EM baselines.
+// cost one binary search and the IC simulators read P_uv beside u's
+// out-neighbors without one. It is the storage used by the ST and EM
+// baselines.
 type EdgeProbs struct {
 	g       *graph.Graph
 	p       []float64 // parallel to the graph's out-adjacency
@@ -196,7 +246,7 @@ func (e *EdgeProbs) offset(u int32) int64 { return e.offsets[u] }
 // Set assigns P_uv. It returns an error if (u,v) is not an edge of the
 // graph, or the probability is outside [0,1].
 func (e *EdgeProbs) Set(u, v int32, prob float64) error {
-	if prob < 0 || prob > 1 {
+	if math.IsNaN(prob) || prob < 0 || prob > 1 {
 		return fmt.Errorf("ic: probability %v outside [0,1] for edge (%d,%d)", prob, u, v)
 	}
 	i, ok := e.index(u, v)

@@ -18,7 +18,9 @@
 //
 // The spread oracle is pluggable: evaluate against learned edge
 // probabilities (ST/EM), against an Inf2vec model's scores mapped through a
-// sigmoid, or against planted ground truth in experiments.
+// sigmoid, or against planted ground truth in experiments. Whatever the
+// oracle, a run reads it once per edge (ic.Tabulate) and simulates over the
+// table.
 package infmax
 
 import (
@@ -160,6 +162,11 @@ func validateCandidates(cands []int32, n int32) error {
 // gracefully with (Result{Partial: true, Stopped: why}, nil) carrying the
 // seeds selected so far. A non-nil error is returned only for invalid
 // configuration.
+//
+// probs is tabulated inside evaluation 0, after Hooks.BeforeEval and under
+// that evaluation's context, so the per-evaluation timeout and the deadline
+// bound it like any spread estimate. It must answer as a pure function of
+// (u, v) for the run (see ic.EdgeProber).
 func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config) (*Result, error) {
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("infmax: seed budget %d must be positive", cfg.Seeds)
@@ -190,6 +197,7 @@ func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config
 	}
 	r := rng.New(cfg.Seed)
 	res := &Result{}
+	var table *ic.EdgeProbs // probs, tabulated by evaluation 0
 
 	// spread runs one budgeted, deadline-bounded evaluation. An errStop
 	// return classifies why the run must end; selections already made stay
@@ -209,7 +217,14 @@ func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config
 			evalCtx, cancel = context.WithTimeout(ctx, cfg.PerEvalTimeout)
 		}
 		res.Evaluations++
-		s, err := ic.ExpectedSpread(evalCtx, g, probs, seeds, cfg.MonteCarloRuns, r)
+		var s float64
+		var err error
+		if table == nil {
+			table, err = ic.Tabulate(evalCtx, g, probs)
+		}
+		if err == nil {
+			s, err = ic.ExpectedSpread(evalCtx, table, seeds, cfg.MonteCarloRuns, r)
+		}
 		if cancel != nil {
 			cancel()
 		}
