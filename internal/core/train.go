@@ -31,7 +31,10 @@ func (m *Model) Score(u, v int32) float64 { return m.Store.Score(u, v) }
 // (the paper's Figure 9 measures exactly Duration at varying K).
 type EpochStat struct {
 	// Loss is the mean negative-sampling objective (Eq. 4) per positive,
-	// estimated over the pass; higher (closer to zero) is better.
+	// estimated over the pass; higher (closer to zero) is better. It is a
+	// table estimate: each term comes from vecmath.FastLogSigmoid, within
+	// 1.5e-3 of the exact log-sigmoid for logits inside (-6, 6) and 2.5e-3
+	// outside, and a NaN or -Inf term passes through to the sum.
 	Loss float64
 	// Duration is the wall-clock time of the pass.
 	Duration time.Duration
@@ -448,8 +451,8 @@ func makeWorkerRNGs(cfg Config, root *rng.RNG) []*rng.RNG {
 // engine: each example is one corpus tuple, and each positive in it is one
 // block step (sgnsBlock.step) over the positive and its negatives. The
 // golden test and TestBlockStepMatchesPerExample pin the result bitwise to
-// updating the examples one by one. Loss sums the Eq. 4 objective; Examples
-// counts positives.
+// updating the examples one by one. Loss sums the table estimate of the
+// Eq. 4 objective; Examples counts positives.
 func sgnsObjective(store *embed.Store, tuples []Tuple, neg *rng.UnigramTable, cfg Config, gamma float32) trainer.HogwildObjective {
 	negatives, biases := cfg.NegativeSamples, !cfg.DisableBiases
 	return func(r *rng.RNG) trainer.PassFunc {
@@ -504,9 +507,10 @@ func newSGNSBlock(store *embed.Store, negatives int, gamma float32, biases bool)
 }
 
 // step applies the block's examples for center u: label 1 for targets[0],
-// label 0 for the rest. It adds each example's Eq. 4 term to *loss in
-// example order. Every parameter element sees the float32 operations of
-// updating the examples one by one, in the same order:
+// label 0 for the rest. It adds each example's Eq. 4 term, read from the
+// vecmath.FastLogSigmoid table, to *loss in example order. Every parameter
+// element sees the float32 operations of updating the examples one by one,
+// in the same order:
 //
 //   - S_u is read by every logit and every T update, and updated once at the
 //     end by the accumulated gradient, exactly as per example;
@@ -545,9 +549,9 @@ func (b *sgnsBlock) step(u int32, loss *float64) {
 				*b.store.BiasTarget(x) += gk
 			}
 			if label == 1 {
-				*loss += vecmath.LogSigmoid(float64(zk))
+				*loss += float64(vecmath.FastLogSigmoid(zk))
 			} else {
-				*loss += vecmath.LogSigmoid(-float64(zk))
+				*loss += float64(vecmath.FastLogSigmoid(-zk))
 			}
 		}
 		vecmath.AxpyRows(g, rows, su, b.srcGrad, hi == len(b.targets))

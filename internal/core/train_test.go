@@ -220,7 +220,7 @@ func TestApplyExampleGradientDirection(t *testing.T) {
 		objBefore := objective(0, 1, label)
 		srcGrad := make([]float32, 4)
 		su := store.SourceVec(0)
-		applyExample(store, su, store.BiasSource(0), 0, 1, label, 0.01, srcGrad, cfg)
+		applyExample(store, su, store.BiasSource(0), 0, 1, label, 0.01, srcGrad, cfg, tableLoss)
 		vecmath.Axpy(1, srcGrad, su)
 		after := store.Score(0, 1)
 		objAfter := objective(0, 1, label)
@@ -284,7 +284,7 @@ func TestApplyExampleMatchesNumericGradient(t *testing.T) {
 	const gamma = 1.0 // unit step exposes the raw gradient
 	srcGrad := make([]float32, k)
 	su := store.SourceVec(0)
-	applyExample(store, su, store.BiasSource(0), 0, 1, 1, gamma, srcGrad, cfg)
+	applyExample(store, su, store.BiasSource(0), 0, 1, 1, gamma, srcGrad, cfg, tableLoss)
 
 	const tol = 5e-3 // FastSigmoid table error times parameter scale
 	for i := 0; i < k; i++ {

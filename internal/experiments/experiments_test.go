@@ -6,10 +6,13 @@ import (
 )
 
 // quickSuite builds a shared reduced-scale suite; model training is cached
-// across subtests.
+// across subtests. It trains at one worker: Inf2vec trains hogwild, so at
+// more workers the claims it asserts would depend on goroutine scheduling
+// and on the host's processor count. The baselines are bit-identical at any
+// worker count.
 func quickSuite(t *testing.T) *Suite {
 	t.Helper()
-	return NewSuite(Options{Seed: 1, Quick: true})
+	return NewSuite(Options{Seed: 1, Quick: true, Workers: 1})
 }
 
 func findRow(t *testing.T, dr DatasetResults, method string) MethodResult {

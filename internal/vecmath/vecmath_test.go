@@ -1,6 +1,9 @@
 package vecmath
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -157,22 +160,134 @@ func TestLogSigmoidStability(t *testing.T) {
 	}
 }
 
+// sweepTableError returns fast's largest absolute error against exact over
+// a dense float32 sweep of [-10, 10], split at the table's range (-6, 6),
+// and its mean signed error inside that range.
+func sweepTableError(fast func(float32) float32, exact func(float64) float64) (inside, outside, bias float64) {
+	n := 0
+	for i := -200000; i <= 200000; i++ {
+		x := float32(float64(i) * 5e-5)
+		err := float64(fast(x)) - exact(float64(x))
+		if x > -maxExp && x < maxExp {
+			inside = math.Max(inside, math.Abs(err))
+			bias += err
+			n++
+		} else {
+			outside = math.Max(outside, math.Abs(err))
+		}
+	}
+	return inside, outside, bias / float64(n)
+}
+
+// edgeInputs are the inputs where a table lookup's range tests and index
+// rounding can go wrong: the bin edges at ±6 and their float32 neighbours,
+// and inputs far outside the table.
+var edgeInputs = []float32{
+	-1e30, -100, -6, math.Nextafter32(-6, 0), math.Nextafter32(6, 0), 6, 100, 1e30,
+}
+
+// TestFastSigmoidAccuracy pins FastSigmoid's documented error bounds: at
+// most 7.33e-4 inside (-6, 6), where each bin returns its left edge, and
+// 2.48e-3 outside, where the clamps return sigmoid(-6) and sigmoid(5.997).
 func TestFastSigmoidAccuracy(t *testing.T) {
-	for x := -8.0; x <= 8.0; x += 0.01 {
-		got := float64(FastSigmoid(float32(x)))
-		want := Sigmoid(x)
-		if math.Abs(got-want) > 3e-3 {
-			t.Fatalf("FastSigmoid(%v) = %v, exact %v (err %v)", x, got, want, math.Abs(got-want))
+	inside, outside, _ := sweepTableError(FastSigmoid, Sigmoid)
+	if inside > 7.33e-4 {
+		t.Errorf("FastSigmoid max error inside (-6, 6) = %.3g, want <= 7.33e-4", inside)
+	}
+	if outside > 2.48e-3 {
+		t.Errorf("FastSigmoid max error outside (-6, 6) = %.3g, want <= 2.48e-3", outside)
+	}
+	for _, x := range append(edgeInputs, float32(math.Inf(-1)), float32(math.Inf(1))) {
+		if err := math.Abs(float64(FastSigmoid(x)) - Sigmoid(float64(x))); err > 2.48e-3 {
+			t.Errorf("FastSigmoid(%v) error %.3g, want <= 2.48e-3", x, err)
 		}
 	}
 }
 
+// TestFastSigmoidClamps pins the clamps, NaN included: NaN fails both
+// range tests and its index clamps to the first entry.
 func TestFastSigmoidClamps(t *testing.T) {
-	if got := FastSigmoid(1000); got < 0.99 {
-		t.Errorf("FastSigmoid(1000) = %v, want ~1", got)
+	for _, tc := range []struct {
+		x    float32
+		want float32
+	}{
+		{1000, expTable[expTableSize-1]},
+		{float32(math.Inf(1)), expTable[expTableSize-1]},
+		{-1000, expTable[0]},
+		{float32(math.Inf(-1)), expTable[0]},
+		{float32(math.NaN()), expTable[0]},
+	} {
+		if got := FastSigmoid(tc.x); got != tc.want {
+			t.Errorf("FastSigmoid(%v) = %v, want %v", tc.x, got, tc.want)
+		}
 	}
-	if got := FastSigmoid(-1000); got > 0.01 {
-		t.Errorf("FastSigmoid(-1000) = %v, want ~0", got)
+}
+
+// TestFastLogSigmoidAccuracy pins FastLogSigmoid's documented error bounds
+// and its near-zero mean bias inside the table, which midpoint sampling
+// buys: a sum over many loss terms does not drift from the exact one.
+func TestFastLogSigmoidAccuracy(t *testing.T) {
+	inside, outside, bias := sweepTableError(FastLogSigmoid, LogSigmoid)
+	if inside > 1.5e-3 {
+		t.Errorf("FastLogSigmoid max error inside (-6, 6) = %.3g, want <= 1.5e-3", inside)
+	}
+	if outside > 2.5e-3 {
+		t.Errorf("FastLogSigmoid max error outside (-6, 6) = %.3g, want <= 2.5e-3", outside)
+	}
+	if math.Abs(bias) > 1e-5 {
+		t.Errorf("FastLogSigmoid mean error inside (-6, 6) = %.3g, want |bias| <= 1e-5", bias)
+	}
+	for _, x := range append(edgeInputs, float32(math.Inf(1))) {
+		if err := math.Abs(float64(FastLogSigmoid(x)) - LogSigmoid(float64(x))); err > 2.5e-3 {
+			t.Errorf("FastLogSigmoid(%v) error %.3g, want <= 2.5e-3", x, err)
+		}
+	}
+}
+
+// TestFastLogSigmoidTails pins the tails: x >= 6 returns the last entry,
+// x <= -6 returns x itself, and NaN and -Inf come back unchanged. A loss
+// that clamped NaN into the table would hide divergence from the trainer.
+func TestFastLogSigmoidTails(t *testing.T) {
+	last := logSigTable[expTableSize-1]
+	for _, tc := range []struct {
+		x, want float32
+	}{
+		{6, last},
+		{1000, last},
+		{float32(math.Inf(1)), last},
+		{-6, -6},
+		{-1000, -1000},
+		{float32(math.Inf(-1)), float32(math.Inf(-1))},
+	} {
+		if got := FastLogSigmoid(tc.x); got != tc.want {
+			t.Errorf("FastLogSigmoid(%v) = %v, want %v", tc.x, got, tc.want)
+		}
+	}
+	if got := FastLogSigmoid(float32(math.NaN())); !math.IsNaN(float64(got)) {
+		t.Errorf("FastLogSigmoid(NaN) = %v, want NaN", got)
+	}
+}
+
+// TestSigmoidTablesPinned pins the bits of both lookup tables. They are
+// built at init from math.Exp and math.Log1p, and math.Exp is assembly that
+// differs per architecture; a platform whose values differ fails here, at
+// the table, rather than deep inside a golden training diff.
+func TestSigmoidTablesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		table *[expTableSize]float32
+		want  string
+	}{
+		{"expTable", &expTable, "8d4fa74c0fe2fafdc59a34cf399361e6399d59e33f3d523da3a9c9e2ce0c7ac1"},
+		{"logSigTable", &logSigTable, "d3e9cdf476faa2a7cb30dd4f2e49844414f936fab1790de7ec2f9d40cb22f95b"},
+	} {
+		var buf []byte
+		for _, v := range tc.table {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != tc.want {
+			t.Errorf("%s SHA-256 = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -217,6 +332,24 @@ func BenchmarkDot50(b *testing.B) {
 func BenchmarkFastSigmoid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		FastSigmoid(float32(i%12) - 6)
+	}
+}
+
+// Sinks keep the compiler from deleting the benchmarked loss calls.
+var (
+	sinkLogSigmoid     float64
+	sinkFastLogSigmoid float32
+)
+
+func BenchmarkLogSigmoid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkLogSigmoid += LogSigmoid(float64(i%12) - 6)
+	}
+}
+
+func BenchmarkFastLogSigmoid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkFastLogSigmoid += FastLogSigmoid(float32(i%12) - 6)
 	}
 }
 
