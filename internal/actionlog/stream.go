@@ -9,14 +9,13 @@ package actionlog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"inf2vec/internal/atomicfile"
+	"inf2vec/internal/frame"
 )
 
 // Tail reads actions from r, which must be positioned at absolute byte
@@ -89,10 +88,6 @@ const CursorVersion = 1
 
 var cursorMagic = [6]byte{'I', '2', 'V', 'C', 'U', 'R'}
 
-// cursorSize is the fixed on-disk size: magic, version byte, reserved zero
-// byte, int64 offset, uint32 model CRC, uint32 CRC trailer.
-const cursorSize = 6 + 1 + 1 + 8 + 4 + 4
-
 // ErrBadCursor is returned by LoadCursor when the file exists but is not a
 // valid cursor: wrong magic or size, unsupported version, or CRC mismatch.
 // Treating it as distinct from fs.ErrNotExist lets a caller log the
@@ -110,20 +105,23 @@ type Cursor struct {
 	ModelCRC uint32
 }
 
-// SaveCursor atomically and durably writes the cursor to path.
+// SaveCursor atomically and durably writes the cursor to path. The file is
+// 24 bytes, framed by internal/frame:
+//
+//	magic "I2VCUR" | version byte (1) | reserved zero byte |
+//	int64 offset | uint32 model CRC | uint32 CRC-32 (IEEE) of the first 20 bytes
 func SaveCursor(path string, c Cursor) error {
+	return atomicfile.Write(path, encodeCursor(c))
+}
+
+// encodeCursor returns the cursor's file bytes, assembled in memory so the
+// file gets them in one write.
+func encodeCursor(c Cursor) []byte {
 	var buf bytes.Buffer
-	buf.Write(cursorMagic[:])
-	buf.WriteByte(CursorVersion)
-	buf.WriteByte(0)
-	var body [12]byte
-	binary.LittleEndian.PutUint64(body[:8], uint64(c.Offset))
-	binary.LittleEndian.PutUint32(body[8:], c.ModelCRC)
-	buf.Write(body[:])
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(trailer[:])
-	return atomicfile.Write(path, buf.Bytes())
+	fw := frame.NewWriter(&buf, cursorMagic, CursorVersion)
+	fw.Put(c.Offset, c.ModelCRC)
+	fw.Trailer() // a bytes.Buffer write cannot fail
+	return buf.Bytes()
 }
 
 // LoadCursor reads a cursor written by SaveCursor, verifying the CRC trailer
@@ -135,25 +133,30 @@ func LoadCursor(path string) (Cursor, error) {
 	if err != nil {
 		return Cursor{}, fmt.Errorf("actionlog: %w", err)
 	}
-	if len(raw) != cursorSize {
-		return Cursor{}, fmt.Errorf("%w: %d bytes, want %d", ErrBadCursor, len(raw), cursorSize)
+	return decodeCursor(bytes.NewReader(raw))
+}
+
+// decodeCursor reads one cursor from r, consuming it exactly.
+func decodeCursor(r io.Reader) (Cursor, error) {
+	fr, err := frame.NewReader(r, cursorMagic, ErrBadCursor)
+	if err != nil {
+		return Cursor{}, err
 	}
-	if [6]byte(raw[:6]) != cursorMagic {
-		return Cursor{}, fmt.Errorf("%w: bad magic %q", ErrBadCursor, raw[:6])
+	if fr.Version != CursorVersion {
+		return Cursor{}, fr.Errorf("unsupported version %d", fr.Version)
 	}
-	if raw[6] != CursorVersion || raw[7] != 0 {
-		return Cursor{}, fmt.Errorf("%w: unsupported version %d", ErrBadCursor, raw[6])
+	var c Cursor
+	if err := fr.Get("cursor", &c.Offset, &c.ModelCRC); err != nil {
+		return Cursor{}, err
 	}
-	body, trailer := raw[:cursorSize-4], raw[cursorSize-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
-		return Cursor{}, fmt.Errorf("%w: CRC mismatch (file %08x, computed %08x)", ErrBadCursor, want, got)
+	if err := fr.Trailer(); err != nil {
+		return Cursor{}, err
 	}
-	c := Cursor{
-		Offset:   int64(binary.LittleEndian.Uint64(body[8:16])),
-		ModelCRC: binary.LittleEndian.Uint32(body[16:20]),
+	if err := fr.End(); err != nil {
+		return Cursor{}, err
 	}
 	if c.Offset < 0 {
-		return Cursor{}, fmt.Errorf("%w: negative offset %d", ErrBadCursor, c.Offset)
+		return Cursor{}, fr.Errorf("negative offset %d", c.Offset)
 	}
 	return c, nil
 }

@@ -148,7 +148,6 @@ type Index struct {
 	n      int32
 	dim    int // augmented dimension: embedding dim + 1
 	nprobe int
-	seed   uint64
 	shards []shard
 }
 
@@ -194,7 +193,7 @@ func Build(src Source, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("ann: cannot index a %d x %d store", n, k)
 	}
 	cfg = cfg.withDefaults(n)
-	ix := &Index{n: n, dim: k + 1, nprobe: cfg.NProbe, seed: cfg.Seed, shards: make([]shard, cfg.Shards)}
+	ix := &Index{n: n, dim: k + 1, nprobe: cfg.NProbe, shards: make([]shard, cfg.Shards)}
 	// Contiguous even split of [0, n) across shards; the first rem shards
 	// take one extra row.
 	per, rem := n/int32(cfg.Shards), n%int32(cfg.Shards)

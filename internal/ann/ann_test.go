@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -350,60 +349,5 @@ func TestQueryHelper(t *testing.T) {
 	buf := make([]float32, 4)
 	if &Query(src, buf)[0] != &buf[0] {
 		t.Fatal("Query did not reuse the caller's buffer")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	st := testStore(t, 5000, 8, 21)
-	// Plant a few NaN rows so residuals serialize too.
-	nan := float32(math.NaN())
-	for _, v := range []int32{3, 1234, 4999} {
-		st.TargetVec(v)[0] = nan
-	}
-	ix, err := Build(st, Config{Shards: 3, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ix, back) {
-		t.Fatal("round-tripped index differs")
-	}
-	got, _ := searchTopK(t, back, st, 7, eval.Ave, 10, 0)
-	want, _ := searchTopK(t, ix, st, 7, eval.Ave, 10, 0)
-	assertSameRanking(t, got, want)
-}
-
-func TestLoadRejectsCorruption(t *testing.T) {
-	st := testStore(t, 3000, 4, 9)
-	ix, err := Build(st, Config{Shards: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	flip := append([]byte(nil), good...)
-	flip[len(flip)/2] ^= 0x40
-	if _, err := Load(bytes.NewReader(flip)); err == nil {
-		t.Fatal("bit flip not rejected")
-	}
-	if _, err := Load(bytes.NewReader(good[:len(good)-5])); err == nil {
-		t.Fatal("truncation not rejected")
-	}
-	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 0))); err == nil {
-		t.Fatal("trailing garbage not rejected")
-	}
-	if _, err := Load(bytes.NewReader([]byte("I2VEMB garbage"))); err == nil {
-		t.Fatal("wrong magic not rejected")
 	}
 }

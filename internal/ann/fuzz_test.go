@@ -8,82 +8,6 @@ import (
 	"inf2vec/internal/rng"
 )
 
-// FuzzLoadIndex throws arbitrary bytes at the index decoder. Any input Load
-// accepts must satisfy the full partition invariants and survive a
-// save/load round trip byte-identically — so a crafted file can never smuggle
-// an index that violates what Build guarantees.
-func FuzzLoadIndex(f *testing.F) {
-	seedIndex := func(n int32, dim int, shards int, seed uint64) []byte {
-		st, err := embed.New(n, dim)
-		if err != nil {
-			f.Fatal(err)
-		}
-		st.Init(rng.New(seed))
-		ix, err := Build(st, Config{Shards: shards, Seed: seed})
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(seedIndex(100, 4, 2, 1))
-	f.Add(seedIndex(700, 8, 3, 7))
-	f.Add([]byte("I2VANN"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted: the structure must hold up.
-		seen := make([]bool, ix.n)
-		nextLo := int32(0)
-		for si := range ix.shards {
-			sh := &ix.shards[si]
-			if sh.lo != nextLo || sh.hi < sh.lo || sh.hi > ix.n {
-				t.Fatalf("accepted index with broken shard range [%d,%d)", sh.lo, sh.hi)
-			}
-			if len(sh.centroids) != len(sh.members)*ix.dim {
-				t.Fatalf("accepted index with %d centroid floats for %d clusters of dim %d",
-					len(sh.centroids), len(sh.members), ix.dim)
-			}
-			claim := func(ids []int32) {
-				for _, v := range ids {
-					if v < sh.lo || v >= sh.hi || seen[v] {
-						t.Fatalf("accepted index with out-of-range or duplicate member %d", v)
-					}
-					seen[v] = true
-				}
-			}
-			for _, m := range sh.members {
-				claim(m)
-			}
-			claim(sh.residual)
-			nextLo = sh.hi
-		}
-		if nextLo != ix.n {
-			t.Fatalf("accepted index covering [0,%d) of [0,%d)", nextLo, ix.n)
-		}
-		for v, ok := range seen {
-			if !ok {
-				t.Fatalf("accepted index missing user %d", v)
-			}
-		}
-		// Round trip must be byte-identical: Save is canonical.
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatalf("re-save of accepted index failed: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatal("accepted index does not re-save to its input bytes")
-		}
-	})
-}
-
 // FuzzBuild feeds fuzzed embedding-store bytes through embed.Load and, when
 // they decode, builds an index over them: whatever a (possibly corrupt but
 // well-formed) model contains — NaN rows, huge values, tiny universes — Build

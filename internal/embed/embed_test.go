@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -229,6 +230,10 @@ func TestLoadRejectsUnsupportedVersion(t *testing.T) {
 	}
 }
 
+// TestLoadFromLeavesTrailingBytes checks what a container relies on to nest
+// a store: SaveSize is the exact length Save writes, and Load over an
+// io.LimitReader of that length reads the store and leaves the bytes after
+// it unread.
 func TestLoadFromLeavesTrailingBytes(t *testing.T) {
 	s, err := New(4, 3)
 	if err != nil {
@@ -243,7 +248,7 @@ func TestLoadFromLeavesTrailingBytes(t *testing.T) {
 		t.Fatalf("SaveSize = %d, actual save wrote %d", s.SaveSize(), got)
 	}
 	buf.WriteString("suffix")
-	s2, err := LoadFrom(&buf)
+	s2, err := Load(io.LimitReader(&buf, s.SaveSize()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestLoadFromLeavesTrailingBytes(t *testing.T) {
 		t.Fatalf("loaded shape %d/%d", s2.NumUsers(), s2.Dim())
 	}
 	if buf.String() != "suffix" {
-		t.Fatalf("LoadFrom consumed trailing bytes, remainder %q", buf.String())
+		t.Fatalf("Load consumed bytes past the limit, remainder %q", buf.String())
 	}
 }
 

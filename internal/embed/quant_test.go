@@ -93,7 +93,7 @@ func TestV3RoundTripIdenticalBytes(t *testing.T) {
 	if int64(first.Len()) != quantSaveSize(23, 12) {
 		t.Fatalf("v3 size %d, want %d", first.Len(), quantSaveSize(23, 12))
 	}
-	q, st, err := LoadQuantized(bytes.NewReader(first.Bytes()))
+	q, st, _, err := LoadQuantized(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLoadQuantizedFromFP32Input(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, st, err := LoadQuantized(bytes.NewReader(buf.Bytes()))
+	q, st, _, err := LoadQuantized(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestQuantizeNonFiniteRows(t *testing.T) {
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q2, _, err := LoadQuantized(bytes.NewReader(buf.Bytes()))
+	q2, _, _, err := LoadQuantized(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestV3CorruptRejected(t *testing.T) {
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: Load err = %v, want ErrBadFormat", name, err)
 		}
-		if _, _, err := LoadQuantized(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+		if _, _, _, err := LoadQuantized(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: LoadQuantized err = %v, want ErrBadFormat", name, err)
 		}
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"time"
 
@@ -45,10 +44,14 @@ type model struct {
 	// against the fp32 store it was quantized from. It is nil for fp32
 	// models and for int8 models loaded verbatim from a v3 file, where the
 	// fp32 original is not available to measure against.
-	qstats   *embed.QuantStats
-	path     string
-	size     int64
-	crc      uint32 // IEEE CRC-32 of the whole file, for /debug/statz
+	qstats *embed.QuantStats
+	path   string
+	size   int64
+	// crc is the file's checksum as the loader reports it: the CRC trailer
+	// of a v2 or v3 file, which is the CRC-32 of every byte before it, or
+	// the CRC-32 of a whole v1 file, which has no trailer. /debug/statz
+	// reports it, the seeds cache keys on it and it seeds the ANN index.
+	crc      uint32
 	loadedAt time.Time
 
 	// index is the ANN top-k index over this store, built at load when the
@@ -92,43 +95,18 @@ func readModel(path string, precision embed.Precision) (*model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var data modelData
-	var qstats *embed.QuantStats
+	m := &model{precision: precision, path: path, size: int64(len(raw))}
 	if precision == embed.PrecisionInt8 {
-		q, stats, err := embed.LoadQuantized(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("validating %s: %w", path, err)
-		}
-		data, qstats = q, stats
+		m.data, m.qstats, m.crc, err = embed.LoadQuantized(bytes.NewReader(raw))
 	} else {
-		store, err := embed.Load(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("validating %s: %w", path, err)
-		}
-		data = store
+		m.data, m.crc, err = embed.LoadSum(bytes.NewReader(raw))
 	}
-	scorer, err := eval.NewScorer(data, data.NumUsers())
 	if err != nil {
+		return nil, fmt.Errorf("validating %s: %w", path, err)
+	}
+	if m.scorer, err = eval.NewScorer(m.data, m.data.NumUsers()); err != nil {
 		return nil, err
 	}
-	// A v2+ store file ends with the CRC-32 of everything before it, and a
-	// CRC-32 of a message with its own CRC appended is always the residue
-	// constant 0x2144df1c — a whole-file checksum would report the same
-	// value for every valid model. Checksum the pre-trailer bytes instead
-	// (identical to the stored trailer), so /debug/statz distinguishes
-	// models; legacy v1 files have no trailer and get the full-file CRC.
-	body := raw
-	if len(raw) > 6 && raw[6] >= 2 && len(raw) >= 4 {
-		body = raw[:len(raw)-4]
-	}
-	return &model{
-		data:      data,
-		scorer:    scorer,
-		precision: precision,
-		qstats:    qstats,
-		path:      path,
-		size:      int64(len(raw)),
-		crc:       crc32.ChecksumIEEE(body),
-		loadedAt:  time.Now(),
-	}, nil
+	m.loadedAt = time.Now()
+	return m, nil
 }
