@@ -7,6 +7,12 @@
 // collects the users who adopted item i in chronological order (the paper's
 // D_i = {(u, t_u^i)}). Logs are immutable once constructed and safe for
 // concurrent reads.
+//
+// For the streaming pipeline, Cursor is the durable resume state: a
+// 24-byte file framed by internal/frame (magic "I2VCUR", CRC-32 trailer).
+// The pipeline's publish intent is the same format at another path. A
+// restart reads both, so LoadCursor reports a present but corrupt file as
+// ErrBadCursor, distinct from a missing one.
 package actionlog
 
 import (
