@@ -95,6 +95,36 @@ func TestSerialKernelsFMAFree(t *testing.T) {
 	}
 }
 
+// fusedMnemonics are the prefixes of the x86 fused multiply-add families.
+var fusedMnemonics = []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"}
+
+// TestAssemblyKernelsFMAFree fails on any x86 fused multiply-add in this
+// package's assembly. The assembly sweep must round every product and sum
+// on its own, as the Go kernel it stands in for does; a fused op would move
+// the trained model's bits on amd64.
+func TestAssemblyKernelsFMAFree(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found (%v)", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			for _, field := range strings.Fields(code) {
+				for _, m := range fusedMnemonics {
+					if strings.HasPrefix(field, m) {
+						t.Errorf("%s:%d: fused instruction %s", file, i+1, field)
+					}
+				}
+			}
+		}
+	}
+}
+
 // fusedOpsByFunc scans a -gcflags=-S listing and returns, per function name
 // (package path stripped), the fused instructions it contains, plus the set
 // of functions listed.
