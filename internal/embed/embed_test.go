@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"inf2vec/internal/rng"
@@ -427,5 +428,20 @@ func TestChecksumIsContentFingerprint(t *testing.T) {
 	trailer := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if a.Checksum() != trailer {
 		t.Fatalf("Checksum %08x != file trailer %08x", a.Checksum(), trailer)
+	}
+}
+
+// TestChecksumAllocationIsBounded pins that hashing a store does not encode
+// it whole in memory: Checksum of a 2000×50 store (about 800 KB on disk)
+// must allocate less than 128 KiB.
+func TestChecksumAllocationIsBounded(t *testing.T) {
+	s, _ := New(2000, 50)
+	s.Init(rng.New(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Checksum()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 128<<10 {
+		t.Fatalf("Checksum of a %d-byte store allocated %d bytes", s.SaveSize(), alloc)
 	}
 }

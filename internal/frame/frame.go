@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 var le = binary.LittleEndian
@@ -34,6 +35,7 @@ type Writer struct {
 	w   io.Writer
 	crc uint32
 	err error
+	buf []byte // encodes float32 blocks a bounded piece at a time
 }
 
 // NewWriter writes the header to w and returns a Writer for the body.
@@ -56,17 +58,38 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Put writes each value as binary.Write does, little-endian.
+// Put writes each value as binary.Write does, little-endian. A []float32
+// is encoded through a buffer of at most 64 KiB, not into one copy of the
+// whole block.
 func (w *Writer) Put(values ...any) error {
 	for _, v := range values {
 		if w.err != nil {
 			break
 		}
-		if err := binary.Write(w, le, v); err != nil {
+		if f, ok := v.([]float32); ok {
+			w.putFloat32s(f)
+		} else if err := binary.Write(w, le, v); err != nil {
 			w.err = err
 		}
 	}
 	return w.err
+}
+
+// putFloat32s writes v a buffer at a time.
+func (w *Writer) putFloat32s(v []float32) {
+	const bufFloats = 16 << 10
+	for len(v) > 0 && w.err == nil {
+		n := min(len(v), bufFloats)
+		if cap(w.buf) < 4*n {
+			w.buf = make([]byte, 4*n)
+		}
+		b := w.buf[:4*n]
+		for i, f := range v[:n] {
+			le.PutUint32(b[4*i:], math.Float32bits(f))
+		}
+		w.Write(b)
+		v = v[n:]
+	}
 }
 
 // Sum returns the CRC-32 of every byte written so far.
