@@ -90,7 +90,12 @@ func TestFixtureV3(t *testing.T) {
 	if !bytes.Equal(saved.Bytes(), want) {
 		t.Fatal("SavePrecision(int8) no longer writes the v3 fixture bytes")
 	}
-	q, st, err := LoadQuantizedFile(filepath.Join("testdata", "store_v3.i2v"))
+	f, err := os.Open(filepath.Join("testdata", "store_v3.i2v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	q, st, _, err := LoadQuantized(f)
 	if err != nil {
 		t.Fatal(err)
 	}

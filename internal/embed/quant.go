@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"inf2vec/internal/atomicfile"
 	"inf2vec/internal/frame"
@@ -284,17 +283,6 @@ func LoadQuantized(r io.Reader) (*QuantizedStore, *QuantStats, uint32, error) {
 	}
 	q, st := Quantize(s)
 	return q, &st, sum, nil
-}
-
-// LoadQuantizedFile reads a store from path via LoadQuantized.
-func LoadQuantizedFile(path string) (*QuantizedStore, *QuantStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("embed: %w", err)
-	}
-	defer f.Close()
-	q, st, _, err := LoadQuantized(f)
-	return q, st, err
 }
 
 // decodeQuant reads the v3 body that follows the header. v3 always carries

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -298,14 +299,19 @@ func TestTruncationReportsByteOffset(t *testing.T) {
 	}
 }
 
-func TestSaveFilePrecisionAndLoadQuantizedFile(t *testing.T) {
+func TestSaveFilePrecisionAndLoadQuantized(t *testing.T) {
 	dir := t.TempDir()
 	s := testStore(t, 8, 4)
 	p := filepath.Join(dir, "model.i2v")
 	if err := s.SaveFilePrecision(p, PrecisionInt8); err != nil {
 		t.Fatal(err)
 	}
-	q, _, err := LoadQuantizedFile(p)
+	f, err := os.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	q, _, _, err := LoadQuantized(f)
 	if err != nil {
 		t.Fatal(err)
 	}
