@@ -11,7 +11,10 @@
 // congruential generators word2vec itself shipped with.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo-random generator. The zero value is invalid;
 // construct with New. RNG is not safe for concurrent use; give each worker
@@ -118,26 +121,13 @@ func (r *RNG) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling, without the rejection
 	// refinement: the bias for n << 2^64 is negligible for simulation use.
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
 }
 
 // Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
 func (r *RNG) Int31n(n int32) int32 {
 	return int32(r.Intn(int(n)))
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

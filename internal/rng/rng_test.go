@@ -90,6 +90,33 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// TestIntnPinned pins Intn's draws for one seed, from a single-word n to
+// n = 2^62, where the high word of the 128-bit product carries every bit.
+// The values were recorded from the hand-rolled 128-bit multiply that
+// bits.Mul64 replaced.
+func TestIntnPinned(t *testing.T) {
+	r := New(2024)
+	for _, c := range []struct {
+		n    uint64
+		want [4]uint64
+	}{
+		{1, [4]uint64{0, 0, 0, 0}},
+		{3, [4]uint64{2, 0, 1, 0}},
+		{2000, [4]uint64{1113, 101, 1440, 1863}},
+		{1 << 31, [4]uint64{1894074754, 786676512, 1660884459, 407820682}},
+		{1 << 62, [4]uint64{197625205812632386, 3010173135487613113, 3735713747876407562, 1853542296215245832}},
+	} {
+		if c.n > math.MaxInt {
+			t.Skipf("n = %d does not fit in int", c.n)
+		}
+		for i, want := range c.want {
+			if got := r.Intn(int(c.n)); uint64(got) != want {
+				t.Errorf("Intn(%d) draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
