@@ -8,6 +8,11 @@
 // table (an EXP_TABLE) because sigmoid evaluation dominates training cost
 // otherwise. Exact float64 variants are also provided for evaluation code,
 // where accuracy matters more than speed.
+//
+// The kernels are Go, except that the update sweep of the SGD block step
+// (AxpyRows) runs in AVX assembly on amd64 CPUs that support it, with lanes
+// as coordinates and bit-identical results; the comment at the top of
+// kernels.go states the bitwise contracts and the CPU check.
 package vecmath
 
 import "math"
