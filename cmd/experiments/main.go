@@ -24,9 +24,9 @@ import (
 	"syscall"
 	"time"
 
-	"inf2vec/internal/core"
 	"inf2vec/internal/experiments"
 	"inf2vec/internal/obs"
+	"inf2vec/internal/trainer"
 	"inf2vec/internal/tsne"
 )
 
@@ -132,7 +132,7 @@ func runAll(ctx context.Context, list string, quick bool, seed uint64, workers, 
 			return err
 		}
 		defer sink.Close()
-		opts.Telemetry = func(e core.Event) {
+		opts.Telemetry = func(e trainer.Event) {
 			if err := sink.Write(e); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments: writing telemetry event:", err)
 			}

@@ -190,15 +190,12 @@ func cmdTrain(args []string) error {
 		CheckpointEvery:   *ckptEvery,
 		Telemetry:         trainTelemetry(logger, sink),
 	}
-	// The root span covers the whole fit; the telemetry adapter hangs
-	// corpus_gen and per-epoch child spans off it.
+	// The root span covers the whole fit; training hangs its corpus_gen
+	// and per-epoch child spans off it.
 	tctx, root := tracer.StartRoot(ctx, "train")
 	root.SetAttr("episodes", train.NumEpisodes())
 	root.SetAttr("iters", *iters)
 	root.SetAttr("workers", *workers)
-	emit, closeOpen := inf2vec.TraceTelemetry(tctx, cfg.Telemetry)
-	cfg.Telemetry = emit
-	defer closeOpen()
 	var model *inf2vec.Model
 	var stats *inf2vec.TrainStats
 	if *resume {
@@ -206,7 +203,6 @@ func cmdTrain(args []string) error {
 	} else {
 		model, stats, err = inf2vec.TrainWithStatsContext(tctx, g, train, cfg)
 	}
-	closeOpen() // before the root ends, so an aborted epoch span is recorded
 	switch {
 	case err != nil:
 		root.EndWith("error")

@@ -151,20 +151,7 @@ type TrainEvent = core.Event
 // TrainEventKind discriminates TrainEvent records.
 type TrainEventKind = core.EventKind
 
-// TraceTelemetry adapts a telemetry stream into trace spans hanging off
-// ctx's current span (see internal/obs): corpus generation and each epoch
-// become child spans carrying loss and throughput attrs, while checkpoint
-// writes and divergence recoveries become events on the parent span. Events
-// flow through to inner (which may be nil) unchanged, so a JSONL sink keeps
-// working alongside. The returned closeOpen func must be deferred on the
-// training goroutine: it ends any span a cancellation or panic left open.
-// When ctx carries no span both returns are inert, so the wrapping costs
-// nothing untraced.
-func TraceTelemetry(ctx context.Context, inner func(TrainEvent)) (func(TrainEvent), func()) {
-	return core.TraceTelemetry(ctx, inner)
-}
-
-// The training-telemetry milestones. See the core documentation for the
+// The training-telemetry milestones. See internal/trainer's Event for the
 // fields each kind populates.
 const (
 	EventTrainStart         = core.EventTrainStart

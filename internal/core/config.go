@@ -20,6 +20,7 @@ import (
 	"runtime"
 
 	"inf2vec/internal/embed"
+	"inf2vec/internal/trainer"
 )
 
 // Config collects Inf2vec's hyperparameters. Zero values select the paper's
@@ -94,12 +95,12 @@ type Config struct {
 	// empty, a positive CheckpointEvery still maintains the in-memory
 	// rollback snapshot used by divergence recovery.
 	CheckpointEvery int
-	// Telemetry, when non-nil, receives one Event per training milestone
-	// (epoch start/end with loss and throughput, divergence recoveries,
-	// checkpoints written), synchronously on the training goroutine. It is
-	// observability plumbing, not a hyperparameter, so it is excluded from
-	// the checkpoint fingerprint.
-	Telemetry func(Event) `json:"-"`
+	// Telemetry, when non-nil, receives one trainer.Event per training
+	// milestone (epoch start/end with loss and throughput, divergence
+	// recoveries, checkpoints written), synchronously on the training
+	// goroutine. It is observability plumbing, not a hyperparameter, so it
+	// is excluded from the checkpoint fingerprint.
+	Telemetry func(trainer.Event) `json:"-"`
 	// MaxDivergenceRetries bounds divergence recovery: after each epoch the
 	// loss and a strided sample of parameters are checked for NaN/±Inf; on
 	// divergence the trainer rolls back to the last checkpoint snapshot (or

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"inf2vec/internal/actionlog"
 	"inf2vec/internal/diffusion"
 	"inf2vec/internal/graph"
+	"inf2vec/internal/obs"
 	"inf2vec/internal/rng"
 	"inf2vec/internal/trainer"
 	"inf2vec/internal/walk"
@@ -145,14 +147,37 @@ var corpusProgressInterval = time.Second
 
 // corpusProgress emits one corpus_progress telemetry event.
 func corpusProgress(cfg Config, done, total, workers int, start time.Time) {
-	e := Event{
-		Kind: EventCorpusProgress, EpisodesDone: done, EpisodesTotal: total,
+	e := trainer.Event{
+		Kind: trainer.EventCorpusProgress, EpisodesDone: done, EpisodesTotal: total,
 		CorpusWorkers: workers,
 	}
 	if sec := time.Since(start).Seconds(); sec > 0 {
 		e.EpisodesPerSec = float64(done) / sec
 	}
 	cfg.emit(e)
+}
+
+// generateCorpus is GenerateCorpus as a "corpus_gen" child span of ctx's
+// span, carrying episodes_total, workers and episodes_per_sec, and returns
+// the corpus with the wall-clock time the span covers. A panic unwinding
+// through it (a Telemetry sink's, at corpus_progress) ends the span
+// "aborted".
+func generateCorpus(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config, r *rng.RNG) (*Corpus, time.Duration) {
+	span := obs.ChildSpan(ctx, "corpus_gen")
+	defer span.EndWith("aborted")
+	episodes := log.NumEpisodes()
+	if span != nil {
+		span.SetAttr("episodes_total", episodes)
+		span.SetAttr("workers", corpusGenWorkers(cfg, episodes))
+	}
+	start := time.Now()
+	c := GenerateCorpus(g, log, cfg, r)
+	elapsed := time.Since(start)
+	if span != nil && elapsed > 0 {
+		span.SetAttr("episodes_per_sec", float64(episodes)/elapsed.Seconds())
+	}
+	span.End()
+	return c, elapsed
 }
 
 // GenerateCorpus runs the context-generation phase of Algorithm 2 (lines

@@ -1,98 +1,32 @@
 package core
 
-import "time"
+import (
+	"time"
 
-// EventKind names one training-telemetry milestone.
-type EventKind string
-
-const (
-	// EventCorpusProgress is emitted during context generation (Algorithm 2
-	// lines 3–8): periodically while episodes are being processed and once
-	// on completion, carrying episodes done/total, throughput and the
-	// corpus worker count. It precedes train_start on a fresh run and
-	// recurs mid-stream under RegenerateContexts.
-	EventCorpusProgress EventKind = "corpus_progress"
-	// EventTrainStart is emitted once per Train/Resume call, after context
-	// generation: carries the corpus shape and the first epoch to run.
-	EventTrainStart EventKind = "train_start"
-	// EventEpochStart is emitted before each SGD pass with the (1-based)
-	// epoch about to run and the step size it will use.
-	EventEpochStart EventKind = "epoch_start"
-	// EventEpochEnd is emitted after each completed pass with the loss,
-	// wall-clock duration and throughput of that pass.
-	EventEpochEnd EventKind = "epoch_end"
-	// EventDivergenceRecovery is emitted when a pass left non-finite
-	// parameters and the trainer rolled back (or re-initialized) at a halved
-	// learning rate.
-	EventDivergenceRecovery EventKind = "divergence_recovery"
-	// EventCheckpointWritten is emitted after a durable checkpoint reaches
-	// disk.
-	EventCheckpointWritten EventKind = "checkpoint_written"
-	// EventTrainEnd is emitted once per run that returns a model (completed
-	// or canceled); error returns emit nothing further.
-	EventTrainEnd EventKind = "train_end"
-	// EventBaselineStart and EventBaselineEnd bracket one baseline method's
-	// training when a suite trains several models into one stream; Method
-	// names the model. The baseline's own train_start..train_end events (if
-	// any) appear between them.
-	EventBaselineStart EventKind = "baseline_start"
-	EventBaselineEnd   EventKind = "baseline_end"
+	"inf2vec/internal/trainer"
 )
 
-// Event is one typed training-telemetry record. Fields beyond Kind and Time
-// are populated per kind (see the kind constants); zero-valued fields are
-// omitted from JSON so a JSONL stream stays compact and greppable.
-//
-// Consumers receive events synchronously on the training goroutine, in
-// order; a slow consumer slows training, so sinks should be cheap (buffered
-// file writes, channel sends) rather than blocking I/O.
-type Event struct {
-	Kind EventKind `json:"event"`
-	// Time is stamped by the trainer when the event is emitted.
-	Time time.Time `json:"t"`
-	// Method names the model an event belongs to when several methods share
-	// one stream (baseline_* events and forwarded baseline telemetry); empty
-	// for Inf2vec's own training events.
-	Method string `json:"method,omitempty"`
-	// Epoch is the 1-based epoch the event describes.
-	Epoch int `json:"epoch,omitempty"`
-	// Epochs is the total number of configured iterations (train_start) or
-	// completed epochs (train_end).
-	Epochs int `json:"epochs,omitempty"`
-	// Loss is the mean Eq. 4 objective per positive for the pass.
-	Loss float64 `json:"loss,omitempty"`
-	// DurationSeconds is the wall-clock time of the pass.
-	DurationSeconds float64 `json:"duration_seconds,omitempty"`
-	// ExamplesPerSec is positive examples processed per second in the pass.
-	ExamplesPerSec float64 `json:"examples_per_sec,omitempty"`
-	// LearningRate is the effective step size of the pass (after decay and
-	// divergence-recovery scaling).
-	LearningRate float64 `json:"lr,omitempty"`
-	// NumTuples and NumPositives describe the generated corpus (train_start).
-	NumTuples    int   `json:"tuples,omitempty"`
-	NumPositives int64 `json:"positives,omitempty"`
-	// Examples and Skips mirror forwarded baseline epoch stats (see
-	// trainer.Event): examples processed in the pass, and negative draws
-	// abandoned after bounded resampling.
-	Examples int64 `json:"examples,omitempty"`
-	Skips    int64 `json:"skips,omitempty"`
-	// EpisodesDone, EpisodesTotal, EpisodesPerSec and CorpusWorkers report
-	// context-generation progress (corpus_progress).
-	EpisodesDone   int     `json:"episodes_done,omitempty"`
-	EpisodesTotal  int     `json:"episodes_total,omitempty"`
-	EpisodesPerSec float64 `json:"episodes_per_sec,omitempty"`
-	CorpusWorkers  int     `json:"corpus_workers,omitempty"`
-	// LRScale and Reinit mirror Recovery (divergence_recovery).
-	LRScale float64 `json:"lr_scale,omitempty"`
-	Reinit  bool    `json:"reinit,omitempty"`
-	// CheckpointPath is the file a checkpoint was written to.
-	CheckpointPath string `json:"checkpoint,omitempty"`
-	// Canceled reports an early stop via context cancellation (train_end).
-	Canceled bool `json:"canceled,omitempty"`
-}
+// Event, EventKind and the kind constants below are aliases of the one
+// training-event type, trainer.Event, and its kinds. They remain only
+// because perfbench and the inf2vec facade name them; the rest of the
+// program uses the trainer names.
+type (
+	Event     = trainer.Event
+	EventKind = trainer.EventKind
+)
+
+const (
+	EventCorpusProgress     = trainer.EventCorpusProgress
+	EventTrainStart         = trainer.EventTrainStart
+	EventEpochStart         = trainer.EventEpochStart
+	EventEpochEnd           = trainer.EventEpochEnd
+	EventDivergenceRecovery = trainer.EventDivergenceRecovery
+	EventCheckpointWritten  = trainer.EventCheckpointWritten
+	EventTrainEnd           = trainer.EventTrainEnd
+)
 
 // emit stamps and delivers an event when a telemetry sink is configured.
-func (cfg *Config) emit(e Event) {
+func (cfg *Config) emit(e trainer.Event) {
 	if cfg.Telemetry == nil {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"inf2vec/internal/checkpoint"
 	"inf2vec/internal/embed"
 	"inf2vec/internal/graph"
+	"inf2vec/internal/obs"
 	"inf2vec/internal/rng"
 	"inf2vec/internal/trainer"
 	"inf2vec/internal/vecmath"
@@ -78,10 +79,6 @@ type Result struct {
 	Canceled bool
 	// Recoveries is the divergence-recovery history, oldest first.
 	Recoveries []Recovery
-
-	// regen redraws the corpus for RegenerateContexts training; nil when
-	// the caller supplied the corpus directly (TrainOnCorpus).
-	regen func(r *rng.RNG) *Corpus
 }
 
 // testAfterEpoch, when non-nil, is invoked after every completed epoch with
@@ -108,17 +105,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg C
 	if g.NumNodes() < log.NumUsers() {
 		return nil, fmt.Errorf("core: graph has %d nodes but log speaks of %d users", g.NumNodes(), log.NumUsers())
 	}
-	root := rng.New(cfg.Seed)
-
-	start := time.Now()
-	corpus := GenerateCorpus(g, log, cfg, root.Split())
-	ctxTime := time.Since(start)
-
-	var regen func(r *rng.RNG) *Corpus
-	if cfg.RegenerateContexts {
-		regen = func(r *rng.RNG) *Corpus { return GenerateCorpus(g, log, cfg, r) }
-	}
-	return trainOnCorpus(ctx, log.NumUsers(), corpus, cfg, root, ctxTime, regen, nil)
+	return trainOnLog(ctx, g, log, cfg, nil)
 }
 
 // Resume continues a training run from the checkpoint at
@@ -146,17 +133,24 @@ func Resume(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config)
 	if st.ConfigHash != cfg.hash() {
 		return nil, fmt.Errorf("%w: %s was written under different hyperparameters", ErrCheckpointMismatch, cfg.CheckpointPath)
 	}
+	return trainOnLog(ctx, g, log, cfg, st)
+}
+
+// trainOnLog runs Algorithm 2 on a validated configuration: context
+// generation as a corpus_gen span, then the SGD phase, resuming from resume
+// when it is non-nil. Under RegenerateContexts every redraw is a corpus_gen
+// span too.
+func trainOnLog(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config, resume *checkpoint.State) (*Result, error) {
 	root := rng.New(cfg.Seed)
-
-	start := time.Now()
-	corpus := GenerateCorpus(g, log, cfg, root.Split())
-	ctxTime := time.Since(start)
-
+	corpus, ctxTime := generateCorpus(ctx, g, log, cfg, root.Split())
 	var regen func(r *rng.RNG) *Corpus
 	if cfg.RegenerateContexts {
-		regen = func(r *rng.RNG) *Corpus { return GenerateCorpus(g, log, cfg, r) }
+		regen = func(r *rng.RNG) *Corpus {
+			c, _ := generateCorpus(ctx, g, log, cfg, r)
+			return c
+		}
 	}
-	return trainOnCorpus(ctx, log.NumUsers(), corpus, cfg, root, ctxTime, regen, st)
+	return trainOnCorpus(ctx, log.NumUsers(), corpus, cfg, root, ctxTime, regen, resume)
 }
 
 // TrainOnCorpus fits the embeddings to an already-generated corpus. It is
@@ -177,6 +171,14 @@ func TrainOnCorpus(numUsers int32, corpus *Corpus, cfg Config) (*Result, error) 
 // trainOnCorpus is the shared SGD phase of Algorithm 2 (lines 9–17),
 // wrapped in the fault-tolerance layer: cooperative cancellation, periodic
 // atomic checkpoints, and divergence detection with rollback recovery.
+// regen, when non-nil, redraws the corpus before every epoch after the
+// first (RegenerateContexts).
+//
+// Each pass is an "epoch" child span of ctx's span, and checkpoint writes
+// and divergence recoveries are events on ctx's span. A pass cut by
+// cancellation ends its span "canceled"; a panic unwinding through an open
+// one (the streaming pipeline's injected crashes) ends it "aborted". With
+// no span in ctx, none of this allocates or records anything.
 func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Config, root *rng.RNG, ctxTime time.Duration, regen func(*rng.RNG) *Corpus, resume *checkpoint.State) (*Result, error) {
 	store, err := embed.New(numUsers, cfg.Dim)
 	if err != nil {
@@ -202,14 +204,13 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		ContextGeneration: ctxTime,
 		NumTuples:         len(corpus.Tuples),
 		NumPositives:      corpus.NumPositives,
-		regen:             regen,
 	}
 	if len(corpus.Tuples) == 0 {
 		// Nothing to learn from (empty or influence-free log): return the
 		// random-initialized model rather than failing, mirroring how the
 		// paper's method degrades on propagation-free data.
-		cfg.emit(Event{Kind: EventTrainStart, Epochs: cfg.Iterations})
-		cfg.emit(Event{Kind: EventTrainEnd})
+		cfg.emit(trainer.Event{Kind: trainer.EventTrainStart, Epochs: cfg.Iterations})
+		cfg.emit(trainer.Event{Kind: trainer.EventTrainEnd})
 		return res, nil
 	}
 
@@ -249,10 +250,13 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		snap = resume
 		snap.Store = store.Clone()
 	}
-	cfg.emit(Event{
-		Kind: EventTrainStart, Epoch: epoch + 1, Epochs: cfg.Iterations,
+	cfg.emit(trainer.Event{
+		Kind: trainer.EventTrainStart, Epoch: epoch + 1, Epochs: cfg.Iterations,
 		NumTuples: res.NumTuples, NumPositives: res.NumPositives,
 	})
+	parent := obs.SpanFromContext(ctx)
+	var span *obs.Span // the open epoch span
+	defer func() { span.EndWith("aborted") }()
 
 	// capture assembles the current training state; the store is shared, so
 	// callers writing to disk can stream it and callers keeping a rollback
@@ -288,7 +292,10 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			if err := checkpoint.SaveFile(cfg.CheckpointPath, st); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
-			cfg.emit(Event{Kind: EventCheckpointWritten, Epoch: epoch, CheckpointPath: cfg.CheckpointPath})
+			if parent != nil {
+				parent.Event("checkpoint_written", map[string]any{"path": cfg.CheckpointPath})
+			}
+			cfg.emit(trainer.Event{Kind: trainer.EventCheckpointWritten, Epoch: epoch, CheckpointPath: cfg.CheckpointPath})
 		}
 		st.Store = store.Clone()
 		snap = st
@@ -318,12 +325,12 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 					return nil, err
 				}
 			}
-			cfg.emit(Event{Kind: EventTrainEnd, Epochs: epoch, Canceled: true})
+			cfg.emit(trainer.Event{Kind: trainer.EventTrainEnd, Epochs: epoch, Canceled: true})
 			return res, nil
 		}
-		if cfg.RegenerateContexts && res.regen != nil {
+		if regen != nil {
 			if epoch > 0 {
-				corpus = res.regen(root.Split())
+				corpus = regen(root.Split())
 				var nerr error
 				neg, nerr = rng.NewUnigramTable(corpus.ContextFreq, cfg.NegativePower)
 				if nerr != nil {
@@ -337,7 +344,12 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		}
 		order := orderRNG.Perm(len(corpus.Tuples))
 		gamma := gammaAt(cfg, epoch, lrScale)
-		cfg.emit(Event{Kind: EventEpochStart, Epoch: epoch + 1, LearningRate: float64(gamma)})
+		span = obs.ChildSpan(ctx, "epoch")
+		if span != nil {
+			span.SetAttr("epoch", epoch+1)
+			span.SetAttr("lr", float64(gamma))
+		}
+		cfg.emit(trainer.Event{Kind: trainer.EventEpochStart, Epoch: epoch + 1, LearningRate: float64(gamma)})
 		t0 := time.Now()
 		pass := trainer.HogwildPass{
 			Order:     order,
@@ -351,7 +363,8 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			// usable partial update but not an epoch boundary, so the pass
 			// is neither recorded nor checkpointed.
 			res.Canceled = true
-			cfg.emit(Event{Kind: EventTrainEnd, Epochs: epoch, Canceled: true})
+			span.EndWith("canceled")
+			cfg.emit(trainer.Event{Kind: trainer.EventTrainEnd, Epochs: epoch, Canceled: true})
 			return res, nil
 		}
 		stat := EpochStat{Duration: time.Since(t0)}
@@ -364,8 +377,13 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		if s := stat.Duration.Seconds(); s > 0 {
 			perSec = float64(totalPos) / s
 		}
-		cfg.emit(Event{
-			Kind: EventEpochEnd, Epoch: epoch, Loss: stat.Loss,
+		if span != nil {
+			span.SetAttr("loss", stat.Loss)
+			span.SetAttr("examples_per_sec", perSec)
+			span.End()
+		}
+		cfg.emit(trainer.Event{
+			Kind: trainer.EventEpochEnd, Epoch: epoch, Loss: stat.Loss,
 			DurationSeconds: stat.Duration.Seconds(), ExamplesPerSec: perSec,
 			LearningRate: float64(gamma),
 		})
@@ -379,7 +397,10 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			retries++
 			lrScale /= 2
 			res.Recoveries = append(res.Recoveries, Recovery{Epoch: epoch - 1, LRScale: lrScale, Reinit: snap == nil})
-			cfg.emit(Event{Kind: EventDivergenceRecovery, Epoch: epoch, LRScale: lrScale, Reinit: snap == nil})
+			if parent != nil {
+				parent.Event("divergence_recovery", map[string]any{"lr_scale": lrScale, "reinit": snap == nil})
+			}
+			cfg.emit(trainer.Event{Kind: trainer.EventDivergenceRecovery, Epoch: epoch, LRScale: lrScale, Reinit: snap == nil})
 			if snap != nil {
 				rollback(snap)
 			} else {
@@ -402,7 +423,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			}
 		}
 	}
-	cfg.emit(Event{Kind: EventTrainEnd, Epochs: epoch})
+	cfg.emit(trainer.Event{Kind: trainer.EventTrainEnd, Epochs: epoch})
 	return res, nil
 }
 

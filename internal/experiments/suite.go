@@ -52,12 +52,12 @@ type Options struct {
 	// selects GOMAXPROCS (the core default).
 	CorpusWorkers int
 	// Telemetry, when non-nil, receives the training events of every model
-	// the suite trains (see core.Event). Inf2vec runs are delimited by
+	// the suite trains (see trainer.Event). Inf2vec runs are delimited by
 	// train_start records; baseline trainings by baseline_start/baseline_end
-	// records whose Method field also labels the engine events forwarded in
-	// between. The suite serializes deliveries, so the sink needs no locking
-	// even while baselines train concurrently.
-	Telemetry func(core.Event)
+	// records whose Method field also labels the engine events in between.
+	// The suite serializes deliveries, so the sink needs no locking even
+	// while baselines train concurrently.
+	Telemetry func(trainer.Event)
 	// Context, when non-nil, cancels suite training at epoch boundaries:
 	// model-training entry points return its error and leave no partially
 	// trained bundle behind. Nil means context.Background().
@@ -138,7 +138,7 @@ func (s *Suite) context() context.Context {
 
 // emit delivers one event to the suite sink, stamping unstamped events and
 // serializing concurrent emitters.
-func (s *Suite) emit(e core.Event) {
+func (s *Suite) emit(e trainer.Event) {
 	if s.opts.Telemetry == nil {
 		return
 	}
@@ -150,22 +150,14 @@ func (s *Suite) emit(e core.Event) {
 	s.opts.Telemetry(e)
 }
 
-// forward adapts one baseline's engine telemetry into the suite's sink,
-// labeling every event with the method name. Nil when no sink is set, so
-// baselines skip event construction entirely.
-func (s *Suite) forward(method string) func(trainer.Event) {
+// sink is the Telemetry every model the suite trains reports to: emit, or
+// nil when no sink is set, so training skips event construction entirely.
+// The engine labels each baseline's events with its method name.
+func (s *Suite) sink() func(trainer.Event) {
 	if s.opts.Telemetry == nil {
 		return nil
 	}
-	return func(e trainer.Event) {
-		s.emit(core.Event{
-			Kind: core.EventKind(e.Kind), Time: e.Time, Method: method,
-			Epoch: e.Epoch, Epochs: e.Epochs, Loss: e.Loss,
-			DurationSeconds: e.DurationSeconds, ExamplesPerSec: e.ExamplesPerSec,
-			LearningRate: e.LearningRate, Examples: e.Examples, Skips: e.Skips,
-			Canceled: e.Canceled,
-		})
-	}
+	return s.emit
 }
 
 // datasetConfig returns the generation config for a named dataset at the
@@ -257,9 +249,7 @@ func (s *Suite) inf2vecConfig(seed uint64) core.Config {
 		Workers:           s.opts.Workers,
 		CorpusWorkers:     s.opts.CorpusWorkers,
 		Seed:              seed,
-	}
-	if s.opts.Telemetry != nil {
-		cfg.Telemetry = s.emit
+		Telemetry:         s.sink(),
 	}
 	if s.opts.Quick {
 		// 16 passes (not the full run's 35) keeps the paper's Table II/III
@@ -316,10 +306,10 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 			if ctx.Err() != nil {
 				return
 			}
-			s.emit(core.Event{Kind: core.EventBaselineStart, Method: method})
+			s.emit(trainer.Event{Kind: trainer.EventBaselineStart, Method: method})
 			err := train()
-			s.emit(core.Event{
-				Kind: core.EventBaselineEnd, Method: method,
+			s.emit(trainer.Event{
+				Kind: trainer.EventBaselineEnd, Method: method,
 				Canceled: ctx.Err() != nil,
 			})
 			if err != nil {
@@ -338,7 +328,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 		return err
 	})
 
-	emCfg := em.Config{Iterations: 15, Workers: s.opts.Workers, Telemetry: s.forward("em")}
+	emCfg := em.Config{Iterations: 15, Workers: s.opts.Workers, Telemetry: s.sink()}
 	if s.opts.Quick {
 		emCfg.Iterations = 5
 	}
@@ -352,7 +342,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 
 	embCfg := embic.Config{
 		Dim: 50, Iterations: 10, Seed: s.opts.Seed + 3,
-		Workers: s.opts.Workers, Telemetry: s.forward("embic"),
+		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
 	if s.opts.Quick {
 		embCfg.Dim = 16
@@ -368,7 +358,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 
 	mfCfg := mf.Config{
 		Dim: 50, Iterations: 15, Seed: s.opts.Seed + 4,
-		Workers: s.opts.Workers, Telemetry: s.forward("mf"),
+		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
 	if s.opts.Quick {
 		mfCfg.Dim = 16
@@ -385,7 +375,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 	n2vCfg := node2vec.Config{
 		Dim: 50, WalksPerNode: 10, WalkLength: 40, Window: 5, Epochs: 2,
 		Seed:    s.opts.Seed + 5,
-		Workers: s.opts.Workers, Telemetry: s.forward("node2vec"),
+		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
 	if s.opts.Quick {
 		n2vCfg.Dim = 16

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"inf2vec/internal/core"
 	"inf2vec/internal/embed"
+	"inf2vec/internal/trainer"
 )
 
 func saveStore(t *testing.T, s *embed.Store) []byte {
@@ -68,15 +68,15 @@ func TestModelsEmitsBaselineEvents(t *testing.T) {
 	epochEnds := map[string]int{}
 	s := NewSuite(Options{
 		Seed: 1, Quick: true, Workers: 4,
-		Telemetry: func(e core.Event) {
+		Telemetry: func(e trainer.Event) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch e.Kind {
-			case core.EventBaselineStart:
+			case trainer.EventBaselineStart:
 				starts[e.Method]++
-			case core.EventBaselineEnd:
+			case trainer.EventBaselineEnd:
 				ends[e.Method]++
-			case core.EventEpochEnd:
+			case trainer.EventEpochEnd:
 				epochEnds[e.Method]++
 			}
 		},

@@ -56,6 +56,7 @@ import (
 	"inf2vec/internal/graph"
 	"inf2vec/internal/obs"
 	"inf2vec/internal/rng"
+	"inf2vec/internal/trainer"
 )
 
 // Hooks injects faults for the crash/fault test matrix. Production leaves it
@@ -529,16 +530,16 @@ func (p *Pipeline) doRound(ctx context.Context) error {
 		tcfg.CheckpointEvery = 1
 	}
 	userTelemetry := tcfg.Telemetry
-	tcfg.Telemetry = func(e core.Event) {
+	tcfg.Telemetry = func(e trainer.Event) {
 		// Crash points inside training map onto the trainer's telemetry
 		// milestones; the hook fires between the durable action and the next
 		// instruction, exactly where a real kill would land.
 		switch e.Kind {
-		case core.EventCorpusProgress:
+		case trainer.EventCorpusProgress:
 			p.crash("corpus_gen")
-		case core.EventEpochEnd:
+		case trainer.EventEpochEnd:
 			p.crash("train_epoch")
-		case core.EventCheckpointWritten:
+		case trainer.EventCheckpointWritten:
 			p.crash("checkpoint")
 		}
 		if userTelemetry != nil {
@@ -548,17 +549,9 @@ func (p *Pipeline) doRound(ctx context.Context) error {
 
 	var res *core.Result
 	err = p.runStage(ctx, "train", p.cfg.TrainTimeout, func(sctx context.Context) error {
-		// Each attempt gets its own telemetry→span adapter bound to the
-		// attempt's stage span, so a retried attempt's corpus/epoch spans
-		// nest under its own "train" span, not the first attempt's. The
-		// deferred closeOpen ends any span a crash or cancellation left
-		// open (trainer telemetry is synchronous, so this goroutine owns
-		// the open spans).
-		attemptCfg := tcfg
-		emit, closeOpen := core.TraceTelemetry(sctx, attemptCfg.Telemetry)
-		attemptCfg.Telemetry = emit
-		defer closeOpen()
-		r, terr := p.trainOnce(sctx, attemptCfg, alog)
+		// Training opens its corpus_gen and epoch spans under sctx's span,
+		// so a retried attempt's spans nest under its own "train" span.
+		r, terr := p.trainOnce(sctx, tcfg, alog)
 		if terr != nil {
 			return terr
 		}

@@ -16,48 +16,6 @@ import (
 // engine because recovery needs the checkpoint machinery.
 var ErrDiverged = errors.New("trainer: training diverged to non-finite values")
 
-// EventKind names one training-telemetry milestone. The wire values match
-// internal/core's event stream, so baseline and Inf2vec telemetry interleave
-// in one JSONL file and existing tooling reads both.
-type EventKind string
-
-const (
-	EventTrainStart EventKind = "train_start"
-	EventEpochStart EventKind = "epoch_start"
-	EventEpochEnd   EventKind = "epoch_end"
-	EventTrainEnd   EventKind = "train_end"
-)
-
-// Event is one typed telemetry record from the engine. Field tags mirror
-// core.Event's; Method distinguishes emitters when several models share a
-// sink.
-type Event struct {
-	Kind EventKind `json:"event"`
-	// Time is stamped by the engine when the event is emitted.
-	Time time.Time `json:"t"`
-	// Method names the model being trained ("node2vec", "embic", ...).
-	Method string `json:"method,omitempty"`
-	// Epoch is the 1-based epoch the event describes.
-	Epoch int `json:"epoch,omitempty"`
-	// Epochs is the total configured (train_start) or completed (train_end)
-	// epoch count.
-	Epochs int `json:"epochs,omitempty"`
-	// Loss is the pass's mean objective per example.
-	Loss float64 `json:"loss,omitempty"`
-	// DurationSeconds is the wall-clock time of the pass.
-	DurationSeconds float64 `json:"duration_seconds,omitempty"`
-	// ExamplesPerSec is examples processed per second in the pass.
-	ExamplesPerSec float64 `json:"examples_per_sec,omitempty"`
-	// LearningRate is the effective step size of the pass.
-	LearningRate float64 `json:"lr,omitempty"`
-	// Examples is the pass's example count; Skips its abandoned-draw count
-	// (see Totals.Skips).
-	Examples int64 `json:"examples,omitempty"`
-	Skips    int64 `json:"skips,omitempty"`
-	// Canceled reports an early stop via context cancellation (train_end).
-	Canceled bool `json:"canceled,omitempty"`
-}
-
 // RunConfig parameterizes Run.
 type RunConfig struct {
 	// Method labels this run's telemetry events.
