@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -365,5 +367,23 @@ func TestQuantizedMemoryReduction(t *testing.T) {
 	}
 	if int64(buf.Len()) != q.SaveSize() {
 		t.Fatalf("SaveSize %d, actual %d", q.SaveSize(), buf.Len())
+	}
+}
+
+// TestQuantizedSaveAllocationIsBounded pins that saving an int8 store does
+// not copy its code blocks whole: Save of a 2000×50 store (about 232 KB on
+// disk) must allocate less than 128 KiB.
+func TestQuantizedSaveAllocationIsBounded(t *testing.T) {
+	s, _ := New(2000, 50)
+	s.Init(rng.New(1))
+	q, _ := Quantize(s)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := q.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 128<<10 {
+		t.Fatalf("Save of a %d-byte int8 store allocated %d bytes", q.SaveSize(), alloc)
 	}
 }

@@ -35,8 +35,11 @@ type Writer struct {
 	w   io.Writer
 	crc uint32
 	err error
-	buf []byte // encodes float32 blocks a bounded piece at a time
+	buf []byte // encodes blocks a bounded piece at a time
 }
+
+// bufBytes bounds the buffer a Writer encodes blocks through.
+const bufBytes = 64 << 10
 
 // NewWriter writes the header to w and returns a Writer for the body.
 func NewWriter(w io.Writer, magic [6]byte, version byte) *Writer {
@@ -59,17 +62,22 @@ func (w *Writer) Write(p []byte) (int, error) {
 }
 
 // Put writes each value as binary.Write does, little-endian. A []float32
-// is encoded through a buffer of at most 64 KiB, not into one copy of the
-// whole block.
+// or []int8 block is encoded through a buffer of at most bufBytes, not into
+// one copy of the whole block.
 func (w *Writer) Put(values ...any) error {
 	for _, v := range values {
 		if w.err != nil {
 			break
 		}
-		if f, ok := v.([]float32); ok {
-			w.putFloat32s(f)
-		} else if err := binary.Write(w, le, v); err != nil {
-			w.err = err
+		switch v := v.(type) {
+		case []float32:
+			w.putFloat32s(v)
+		case []int8:
+			w.putInt8s(v)
+		default:
+			if err := binary.Write(w, le, v); err != nil {
+				w.err = err
+			}
 		}
 	}
 	return w.err
@@ -77,19 +85,36 @@ func (w *Writer) Put(values ...any) error {
 
 // putFloat32s writes v a buffer at a time.
 func (w *Writer) putFloat32s(v []float32) {
-	const bufFloats = 16 << 10
 	for len(v) > 0 && w.err == nil {
-		n := min(len(v), bufFloats)
-		if cap(w.buf) < 4*n {
-			w.buf = make([]byte, 4*n)
-		}
-		b := w.buf[:4*n]
+		n := min(len(v), bufBytes/4)
+		b := w.buffer(4 * n)
 		for i, f := range v[:n] {
 			le.PutUint32(b[4*i:], math.Float32bits(f))
 		}
 		w.Write(b)
 		v = v[n:]
 	}
+}
+
+// putInt8s writes v a buffer at a time.
+func (w *Writer) putInt8s(v []int8) {
+	for len(v) > 0 && w.err == nil {
+		n := min(len(v), bufBytes)
+		b := w.buffer(n)
+		for i, x := range v[:n] {
+			b[i] = byte(x)
+		}
+		w.Write(b)
+		v = v[n:]
+	}
+}
+
+// buffer returns w.buf resliced to n bytes, growing it when it is shorter.
+func (w *Writer) buffer(n int) []byte {
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
+	}
+	return w.buf[:n]
 }
 
 // Sum returns the CRC-32 of every byte written so far.
