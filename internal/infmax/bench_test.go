@@ -2,13 +2,11 @@ package infmax
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
+	"inf2vec/internal/benchgate"
 	"inf2vec/internal/graph"
 )
 
@@ -104,24 +102,5 @@ func TestRecordInfmaxBench(t *testing.T) {
 		"seeds_p99_s":            quantile(0.99),
 		"go_test_generated_by":   "internal/infmax.TestRecordInfmaxBench (INF2VEC_WRITE_BENCH=1)",
 	}
-	if os.Getenv("INF2VEC_WRITE_BENCH") == "" {
-		t.Logf("bench (not recorded; set INF2VEC_WRITE_BENCH=1): %+v", report)
-		return
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// INF2VEC_BENCH_DIR redirects the report (the CI regression gate writes
-	// fresh numbers to a scratch dir and compares them against the committed
-	// baselines); default is the repository root.
-	benchDir := os.Getenv("INF2VEC_BENCH_DIR")
-	if benchDir == "" {
-		benchDir = filepath.Join("..", "..")
-	}
-	path := filepath.Join(benchDir, "BENCH_infmax.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
+	benchgate.Record(t, "BENCH_infmax.json", report)
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"inf2vec/internal/actionlog"
+	"inf2vec/internal/benchgate"
 	"inf2vec/internal/core"
 	"inf2vec/internal/embed"
 	"inf2vec/internal/graph"
@@ -839,24 +839,5 @@ func TestRecordPipelineBench(t *testing.T) {
 	if p.met.cacheHits.Value() == 0 {
 		t.Fatal("corpus cache never hit across rounds; incremental regeneration is not engaging")
 	}
-	if os.Getenv("INF2VEC_WRITE_BENCH") == "" {
-		t.Logf("bench (not recorded; set INF2VEC_WRITE_BENCH=1): %+v", report)
-		return
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// INF2VEC_BENCH_DIR redirects the report (the CI regression gate writes
-	// fresh numbers to a scratch dir and compares them against the committed
-	// baselines); default is the repository root.
-	benchDir := os.Getenv("INF2VEC_BENCH_DIR")
-	if benchDir == "" {
-		benchDir = filepath.Join("..", "..")
-	}
-	path := filepath.Join(benchDir, "BENCH_pipeline.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
+	benchgate.Record(t, "BENCH_pipeline.json", report)
 }

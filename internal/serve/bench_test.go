@@ -1,16 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"inf2vec/internal/benchgate"
 	"inf2vec/internal/obs"
 )
 
@@ -83,27 +81,11 @@ func TestRecordServeBench(t *testing.T) {
 		"trace_sample_rate":    0.01,
 		"go_test_generated_by": "internal/serve.TestRecordServeBench (INF2VEC_WRITE_BENCH=1)",
 	}
-	if os.Getenv("INF2VEC_WRITE_BENCH") == "" {
-		t.Logf("bench (not recorded; set INF2VEC_WRITE_BENCH=1): %+v", report)
-		return
-	}
-	if overheadPct >= 5 {
+	if benchgate.Recording() && overheadPct >= 5 {
 		t.Fatalf("tracing overhead on /v1/score p50 = %.2f%% (%v -> %v), acceptance bound is <5%%",
 			overheadPct, p50Off, p50On)
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchDir := os.Getenv("INF2VEC_BENCH_DIR")
-	if benchDir == "" {
-		benchDir = filepath.Join("..", "..")
-	}
-	path := filepath.Join(benchDir, "BENCH_serve.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
+	benchgate.Record(t, "BENCH_serve.json", report)
 }
 
 // TestMetricsExemplarsExposition asserts the OpenMetrics exemplar flag on
