@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"inf2vec/internal/embed"
+	"inf2vec/internal/obs"
 	"inf2vec/internal/trainer"
 )
 
@@ -106,5 +107,32 @@ func TestModelsCanceledContext(t *testing.T) {
 	s := NewSuite(Options{Seed: 1, Quick: true, Context: ctx})
 	if _, err := s.Models("digg-like"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Models error = %v, want context.Canceled", err)
+	}
+}
+
+// TestInf2vecSpansHangOffTheSuiteContext trains one Inf2vec model under a
+// traced suite context, as cmd/experiments does, and checks that its
+// corpus_gen span and one epoch span per pass are children of the
+// context's span.
+func TestInf2vecSpansHangOffTheSuiteContext(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, SlowThreshold: -1})
+	ctx, root := tracer.StartRoot(context.Background(), "experiments")
+	s := NewSuite(Options{Seed: 1, Quick: true, Workers: 1, Context: ctx})
+	if _, err := s.inf2vecL("digg-like", &trainedModels{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	traces := tracer.Traces(obs.TraceFilter{Root: "experiments"})
+	if len(traces) != 1 {
+		t.Fatalf("got %d traces, want 1", len(traces))
+	}
+	children := map[string]int{}
+	for _, sp := range traces[0].Spans {
+		if sp.ParentID == root.ID().String() {
+			children[sp.Name]++
+		}
+	}
+	if want := s.inf2vecConfig(0).Iterations; children["corpus_gen"] != 1 || children["epoch"] != want {
+		t.Fatalf("root's children = %v, want 1 corpus_gen and %d epoch spans", children, want)
 	}
 }
