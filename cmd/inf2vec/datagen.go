@@ -1,11 +1,3 @@
-// Command datagen emits synthetic social-influence datasets — the digg-like
-// and flickr-like stand-ins for the paper's evaluation data — as TSV files:
-// a directed edge list (graph.tsv) and an action log (actions.tsv).
-//
-// Usage:
-//
-//	datagen -preset digg -seed 1 -out ./data/digg
-//	datagen -preset flickr -users 500 -items 80 -out ./data/small
 package main
 
 import (
@@ -19,21 +11,28 @@ import (
 	"inf2vec/internal/graph"
 )
 
-func main() {
-	preset := flag.String("preset", "digg", `dataset preset: "digg" or "flickr"`)
-	seed := flag.Uint64("seed", 1, "generation seed")
-	users := flag.Int("users", 0, "override number of users (0 = preset default)")
-	items := flag.Int("items", 0, "override number of items (0 = preset default)")
-	out := flag.String("out", ".", "output directory (created if missing)")
-	flag.Parse()
-
-	if err := run(*preset, *seed, *users, *items, *out); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+// cmdDatagen emits synthetic social-influence datasets — the digg-like and
+// flickr-like stand-ins for the paper's evaluation data — as TSV files: a
+// directed edge list (graph.tsv) and an action log (actions.tsv).
+//
+// Usage:
+//
+//	inf2vec datagen -preset digg -seed 1 -out ./data/digg
+//	inf2vec datagen -preset flickr -users 500 -items 80 -out ./data/small
+func cmdDatagen(args []string) error {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	preset := fs.String("preset", "digg", `dataset preset: "digg" or "flickr"`)
+	seed := fs.Uint64("seed", 1, "generation seed")
+	users := fs.Int("users", 0, "override number of users (0 = preset default)")
+	items := fs.Int("items", 0, "override number of items (0 = preset default)")
+	out := fs.String("out", ".", "output directory (created if missing)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
+	return runDatagen(*preset, *seed, *users, *items, *out)
 }
 
-func run(preset string, seed uint64, users, items int, out string) error {
+func runDatagen(preset string, seed uint64, users, items int, out string) error {
 	var cfg datagen.Config
 	switch preset {
 	case "digg":

@@ -10,7 +10,7 @@ import (
 
 func TestRunWritesLoadableFiles(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("digg", 1, 200, 30, dir); err != nil {
+	if err := runDatagen("digg", 1, 200, 30, dir); err != nil {
 		t.Fatal(err)
 	}
 	g, err := inf2vec.ReadGraphFile(filepath.Join(dir, "graph.tsv"))
@@ -31,7 +31,7 @@ func TestRunWritesLoadableFiles(t *testing.T) {
 
 func TestRunFlickrPreset(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("flickr", 2, 150, 20, dir); err != nil {
+	if err := runDatagen("flickr", 2, 150, 20, dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "graph.tsv")); err != nil {
@@ -40,7 +40,7 @@ func TestRunFlickrPreset(t *testing.T) {
 }
 
 func TestRunRejectsUnknownPreset(t *testing.T) {
-	if err := run("myspace", 1, 0, 0, t.TempDir()); err == nil {
+	if err := runDatagen("myspace", 1, 0, 0, t.TempDir()); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 }

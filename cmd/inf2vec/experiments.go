@@ -1,15 +1,3 @@
-// Command experiments reproduces the paper's evaluation section: every
-// table (I–VI) and figure (1–3, 6–9) runs against the synthetic digg-like
-// and flickr-like datasets and prints in the shape of the paper's tables.
-//
-// Usage:
-//
-//	experiments                    # run everything at full scale
-//	experiments -run table2,fig9   # selected experiments
-//	experiments -quick             # reduced scale (~10x faster, noisier)
-//	experiments -svg ./figs        # additionally write Figure 6 SVG panels
-//	experiments -telemetry-out t.jsonl  # JSONL training telemetry for every run
-//	experiments -trace-out traces.jsonl # span trace of the invocation
 package main
 
 import (
@@ -18,48 +6,52 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"inf2vec/internal/experiments"
 	"inf2vec/internal/obs"
-	"inf2vec/internal/trainer"
 	"inf2vec/internal/tsne"
 )
 
-func main() {
-	run := flag.String("run", "all", "comma-separated experiment list: table1..table6, fig1..fig3, fig6..fig9, seeds, or all")
-	quick := flag.Bool("quick", false, "reduced-scale run")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	workers := flag.Int("workers", 0, "training workers for Inf2vec and every baseline (0 = min(NumCPU, 8); any value yields the same models)")
-	corpusWorkers := flag.Int("corpus-workers", 0, "corpus-generation workers (0 = GOMAXPROCS; any value yields the same corpus)")
-	svgDir := flag.String("svg", "", "directory for Figure 6 SVG panels (empty = skip)")
-	telemetryOut := flag.String("telemetry-out", "", "append one JSON training event per line to this file (all Inf2vec runs)")
-	traceFlags := obs.RegisterTraceFlags(flag.CommandLine, 1) // one-shot run: keep every trace
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-
+// cmdExperiments reproduces the paper's evaluation section: every table
+// (I–VI) and figure (1–3, 6–9) runs against the synthetic digg-like and
+// flickr-like datasets and prints in the shape of the paper's tables.
+//
+// Usage:
+//
+//	inf2vec experiments                    # run everything at full scale
+//	inf2vec experiments -run table2,fig9   # selected experiments
+//	inf2vec experiments -quick             # reduced scale (~10x faster, noisier)
+//	inf2vec experiments -svg ./figs        # additionally write Figure 6 SVG panels
+//	inf2vec experiments -telemetry-out t.jsonl  # JSONL training telemetry for every run
+//	inf2vec experiments -trace-out traces.jsonl # span trace of the invocation
+func cmdExperiments(args []string) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	run := fs.String("run", "all", "comma-separated experiment list: table1..table6, fig1..fig3, fig6..fig9, seeds, or all")
+	quick := fs.Bool("quick", false, "reduced-scale run")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	workers := fs.Int("workers", 0, "training workers for Inf2vec and every baseline (0 = min(NumCPU, 8); any value yields the same models)")
+	corpusWorkers := fs.Int("corpus-workers", 0, "corpus-generation workers (0 = GOMAXPROCS; any value yields the same corpus)")
+	svgDir := fs.String("svg", "", "directory for Figure 6 SVG panels (empty = skip)")
+	telemetryOut := fs.String("telemetry-out", "", "append one JSON training event per line to this file (all Inf2vec runs)")
+	traceFlags := obs.RegisterTraceFlags(fs, 1) // one-shot run: keep every trace
+	version := fs.Bool("version", false, "print version and exit")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if *version {
-		fmt.Printf("experiments %s (%s)\n", obs.Version(), obs.GoVersion())
-		return
+		printVersion()
+		return nil
 	}
 	traceCfg, closeTrace, err := traceFlags.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer closeInto(&err, closeTrace)
+	ctx, stop := signalContext()
 	defer stop()
-	go func() {
-		// After the first signal, unregister the handler so a second
-		// Ctrl-C kills the process instead of waiting for the running
-		// section to finish.
-		<-ctx.Done()
-		stop()
-	}()
 	// One root span covers the whole invocation; every training run hangs
 	// its epoch spans off it (the per-trace span cap truncates a full-scale
 	// run, recorded as dropped_spans on the trace).
@@ -75,18 +67,7 @@ func main() {
 	default:
 		root.EndWith("error")
 	}
-	// Close explicitly: os.Exit below would skip a defer, losing the trace.
-	if cerr := closeTrace(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "experiments: interrupted")
-		} else {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-		}
-		os.Exit(1)
-	}
+	return err
 }
 
 // knownExperiments is every name -run accepts besides "all".
@@ -97,7 +78,7 @@ var knownExperiments = map[string]bool{
 	"seeds": true,
 }
 
-func runAll(ctx context.Context, list string, quick bool, seed uint64, workers, corpusWorkers int, svgDir, telemetryOut string) error {
+func runAll(ctx context.Context, list string, quick bool, seed uint64, workers, corpusWorkers int, svgDir, telemetryOut string) (err error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
@@ -118,27 +99,21 @@ func runAll(ctx context.Context, list string, quick bool, seed uint64, workers, 
 		return all || want[name]
 	}
 
+	sink, closeSink, err := telemetrySink(telemetryOut, func(err error) {
+		fmt.Fprintln(os.Stderr, "inf2vec experiments: writing telemetry event:", err)
+	})
+	if err != nil {
+		return err
+	}
+	defer closeInto(&err, closeSink)
 	// The context reaches every training loop (Inf2vec and all baselines),
 	// so a signal also drains mid-section training at the next epoch/round
 	// boundary rather than waiting the section out.
-	opts := experiments.Options{
+	s := experiments.NewSuite(experiments.Options{
 		Seed: seed, Quick: quick,
 		Workers: workers, CorpusWorkers: corpusWorkers,
-		Context: ctx,
-	}
-	if telemetryOut != "" {
-		sink, err := obs.CreateJSONL(telemetryOut)
-		if err != nil {
-			return err
-		}
-		defer sink.Close()
-		opts.Telemetry = func(e trainer.Event) {
-			if err := sink.Write(e); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: writing telemetry event:", err)
-			}
-		}
-	}
-	s := experiments.NewSuite(opts)
+		Context: ctx, Telemetry: sink,
+	})
 	out := os.Stdout
 	start := time.Now()
 

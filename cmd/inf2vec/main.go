@@ -1,12 +1,21 @@
-// Command inf2vec trains, evaluates and queries social influence embeddings
-// from TSV files on disk.
+// Command inf2vec is the one binary of the repository: it generates data,
+// observes it, trains, evaluates and queries social influence embeddings,
+// reproduces the paper's experiments, serves a model over HTTP and runs the
+// streaming retrain pipeline.
 //
 // Subcommands:
 //
+//	inf2vec datagen -preset digg -seed 1 -out ./data/digg
+//	inf2vec stats -graph graph.tsv -log actions.tsv
 //	inf2vec train -graph graph.tsv -log actions.tsv -model out.i2v [flags]
 //	inf2vec eval  -graph graph.tsv -log actions.tsv -model out.i2v [-task activation|diffusion]
 //	inf2vec score -model out.i2v -source 12 -top 10
 //	inf2vec convert -in out.i2v -out out.q.i2v -precision int8
+//	inf2vec visualize -graph graph.tsv -log actions.tsv -model out.i2v -out layout.svg
+//	inf2vec experiments [-run table2,fig9] [-quick]
+//	inf2vec serve -model out.i2v [-addr :8080]
+//	inf2vec pipeline -graph graph.tsv -log actions.tsv -model out.i2v [-once]
+//	inf2vec version
 //
 // train fits the model on a random 80% episode split (10% tune / 10% test
 // are held out, matching the paper's protocol); eval replays the held-out
@@ -27,17 +36,19 @@
 // and per-epoch children), and -debug-addr exposes pprof, /metrics and
 // /debug/traces on a separate listener. Result output (eval metrics, score
 // rankings) stays on stdout.
+//
+// Every subcommand exits 0 on success and on -h, 2 for a rejected command
+// line, and 1 on any other failure, reported as "inf2vec <subcommand>: ...".
+// train, experiments and pipeline drain on the first SIGINT or SIGTERM; a
+// second one kills the process.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"inf2vec"
 	"inf2vec/internal/embed"
@@ -49,57 +60,49 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	var err error
-	switch os.Args[1] {
+	switch cmd {
+	case "datagen":
+		err = cmdDatagen(args)
+	case "stats":
+		err = cmdStats(args)
 	case "train":
-		err = cmdTrain(os.Args[2:])
+		err = cmdTrain(args)
 	case "eval":
-		err = cmdEval(os.Args[2:])
+		err = cmdEval(args)
 	case "score":
-		err = cmdScore(os.Args[2:])
+		err = cmdScore(args)
 	case "convert":
-		err = cmdConvert(os.Args[2:])
+		err = cmdConvert(args)
+	case "visualize":
+		err = cmdVisualize(args)
+	case "experiments":
+		err = cmdExperiments(args)
+	case "serve":
+		err = cmdServe(args)
+	case "pipeline":
+		err = cmdPipeline(args)
 	case "version", "-version", "--version":
-		fmt.Printf("inf2vec %s (%s)\n", obs.Version(), obs.GoVersion())
+		printVersion()
 	default:
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "inf2vec:", err)
-		os.Exit(1)
-	}
+	os.Exit(exitCode(cmd, err))
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: inf2vec <train|eval|score|convert|version> [flags]
-  train -graph G -log A -model OUT [-dim 50 -len 50 -alpha 0.1 -lr 0.005 -iters 10 -neg 5 -workers 1 -corpus-workers 0 -seed 1]
-        [-checkpoint CKPT [-checkpoint-every N] [-resume]]
-        [-telemetry-out events.jsonl] [-trace-out traces.jsonl] [-log-format text|json] [-log-level info] [-debug-addr :0]
-  eval  -graph G -log A -model M [-task activation|diffusion] [-agg ave|sum|max|latest] [-seed 1]
-  score -model M -source U [-top 10] [-agg max]
-  convert -in M -out OUT [-precision fp32|int8]`)
-}
-
-// loadData reads the graph and the full action log, sized to the graph.
-func loadData(graphPath, logPath string) (*inf2vec.Graph, *inf2vec.ActionLog, error) {
-	g, err := inf2vec.ReadGraphFile(graphPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	log, err := inf2vec.ReadActionLogFile(logPath, g.NumNodes())
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, log, nil
+	fmt.Fprintln(os.Stderr, `usage: inf2vec <subcommand> [flags]; inf2vec <subcommand> -h lists the flags
+subcommands: datagen stats train eval score convert visualize experiments serve pipeline version`)
 }
 
 func parseAgg(name string) (inf2vec.Aggregator, error) {
 	return inf2vec.ParseAggregator(name)
 }
 
-func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+func cmdTrain(args []string) (err error) {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	graphPath := fs.String("graph", "", "edge-list TSV (required)")
 	logPath := fs.String("log", "", "action-log TSV (required)")
 	modelPath := fs.String("model", "model.i2v", "output model file")
@@ -117,20 +120,19 @@ func cmdTrain(args []string) error {
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint every N epochs (default 1 when -checkpoint is set)")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
 	telemetryOut := fs.String("telemetry-out", "", "append one JSON training event per line to this file")
-	logFormat := fs.String("log-format", "text", "log format: text or json")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
+	newLogger := logFlags(fs, "text")
 	debugAddr := fs.String("debug-addr", "", "serve pprof and /metrics on this address (e.g. localhost:6060)")
 	traceFlags := obs.RegisterTraceFlags(fs, 1) // one-shot run: keep every trace
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *graphPath == "" || *logPath == "" {
-		return fmt.Errorf("train: -graph and -log are required")
+		return fmt.Errorf("-graph and -log are required")
 	}
 	if *resume && *ckptPath == "" {
-		return fmt.Errorf("train: -resume requires -checkpoint")
+		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		return err
 	}
@@ -138,23 +140,18 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
+	defer closeInto(&err, closeTrace)
 	tracer := obs.NewTracer(traceCfg)
-	if *debugAddr != "" {
-		addr, err := obs.StartDebugServer(*debugAddr, nil, tracer)
-		if err != nil {
-			return err
-		}
-		logger.Info("debug server listening", "addr", addr)
+	if err := startDebug(logger, *debugAddr, nil, tracer); err != nil {
+		return err
 	}
-	var sink *obs.JSONLWriter
-	if *telemetryOut != "" {
-		sink, err = obs.CreateJSONL(*telemetryOut)
-		if err != nil {
-			return err
-		}
-		defer sink.Close()
+	sink, closeSink, err := telemetrySink(*telemetryOut, func(err error) {
+		logger.Error("writing telemetry event", "err", err)
+	})
+	if err != nil {
+		return err
 	}
+	defer closeInto(&err, closeSink)
 	g, log, err := loadData(*graphPath, *logPath)
 	if err != nil {
 		return err
@@ -167,14 +164,8 @@ func cmdTrain(args []string) error {
 		"episodes", train.NumEpisodes(), "actions", train.NumActions(),
 		"users", g.NumNodes(), "workers", *workers, "iters", *iters)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signalContext()
 	defer stop()
-	go func() {
-		// After the first signal starts the graceful drain, unregister the
-		// handler so a second Ctrl-C kills the process immediately.
-		<-ctx.Done()
-		stop()
-	}()
 	cfg := inf2vec.Config{
 		Dim:               *dim,
 		ContextLength:     *ctxLen,
@@ -241,12 +232,10 @@ func cmdTrain(args []string) error {
 
 // trainTelemetry fans training events out to the structured log and, when
 // set, the JSONL sink.
-func trainTelemetry(logger *slog.Logger, sink *obs.JSONLWriter) func(inf2vec.TrainEvent) {
+func trainTelemetry(logger *slog.Logger, sink func(inf2vec.TrainEvent)) func(inf2vec.TrainEvent) {
 	return func(e inf2vec.TrainEvent) {
 		if sink != nil {
-			if err := sink.Write(e); err != nil {
-				logger.Error("writing telemetry event", "err", err)
-			}
+			sink(e)
 		}
 		switch e.Kind {
 		case inf2vec.EventEpochEnd:
@@ -262,18 +251,18 @@ func trainTelemetry(logger *slog.Logger, sink *obs.JSONLWriter) func(inf2vec.Tra
 }
 
 func cmdEval(args []string) error {
-	fs := flag.NewFlagSet("eval", flag.ExitOnError)
+	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	graphPath := fs.String("graph", "", "edge-list TSV (required)")
 	logPath := fs.String("log", "", "action-log TSV (required)")
 	modelPath := fs.String("model", "", "trained model file (required)")
 	task := fs.String("task", "activation", "activation or diffusion")
 	aggName := fs.String("agg", "ave", "aggregator: ave, sum, max, latest")
 	seed := fs.Uint64("seed", 1, "split seed (must match training)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *graphPath == "" || *logPath == "" || *modelPath == "" {
-		return fmt.Errorf("eval: -graph, -log and -model are required")
+		return fmt.Errorf("-graph, -log and -model are required")
 	}
 	agg, err := parseAgg(*aggName)
 	if err != nil {
@@ -309,19 +298,19 @@ func cmdEval(args []string) error {
 }
 
 func cmdConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
+	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	in := fs.String("in", "", "model file to read (any supported version; required)")
 	out := fs.String("out", "", "output model file (required)")
 	precName := fs.String("precision", "int8", "output precision: fp32 (format v2) or int8 (format v3, ~4x smaller)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
-		return fmt.Errorf("convert: -in and -out are required")
+		return fmt.Errorf("-in and -out are required")
 	}
 	prec, err := embed.ParsePrecision(*precName)
 	if err != nil {
-		return fmt.Errorf("convert: %w", err)
+		return err
 	}
 	store, err := embed.LoadFile(*in)
 	if err != nil {
@@ -336,16 +325,16 @@ func cmdConvert(args []string) error {
 }
 
 func cmdScore(args []string) error {
-	fs := flag.NewFlagSet("score", flag.ExitOnError)
+	fs := flag.NewFlagSet("score", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "trained model file (required)")
 	source := fs.Int("source", -1, "source user ID (required)")
 	top := fs.Int("top", 10, "list length")
 	aggName := fs.String("agg", "max", "aggregator: ave, sum, max, latest")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *modelPath == "" || *source < 0 {
-		return fmt.Errorf("score: -model and -source are required")
+		return fmt.Errorf("-model and -source are required")
 	}
 	agg, err := parseAgg(*aggName)
 	if err != nil {

@@ -1,18 +1,36 @@
-// Command pipeline runs the crash-safe streaming loop: it tails an
-// append-only action-log TSV, incrementally retrains the influence
-// embedding warm-started from the last published model, atomically
-// publishes the result, and signals the serving layer to hot-reload.
+package main
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"syscall"
+	"time"
+
+	"inf2vec"
+	"inf2vec/internal/core"
+	"inf2vec/internal/obs"
+	"inf2vec/internal/pipeline"
+	"inf2vec/internal/serve"
+)
+
+// cmdPipeline runs the crash-safe streaming loop: it tails an append-only
+// action-log TSV, incrementally retrains the influence embedding
+// warm-started from the last published model, atomically publishes the
+// result, and signals the serving layer to hot-reload.
 //
 // Usage:
 //
-//	pipeline -graph graph.tsv -log actions.tsv -model model.i2v
-//	         [-cursor actions.tsv.offset] [-checkpoint model.i2v.ckpt]
-//	         [-dim 50 -len 50 -alpha 0.1 -lr 0.005 -decay -iters 10 -neg 5
-//	          -workers 1 -corpus-workers 0 -seed 1]
-//	         [-poll 2s] [-once]
-//	         [-serve-addr :8080 | -notify-pid PID]
-//	         [-log-format text|json] [-log-level info] [-debug-addr :0]
-//	         [-trace-out traces.jsonl] [-trace-slow-ms 100] [-trace-sample 0.01]
+//	inf2vec pipeline -graph graph.tsv -log actions.tsv -model model.i2v
+//	                 [-cursor actions.tsv.offset] [-checkpoint model.i2v.ckpt]
+//	                 [-dim 50 -len 50 -alpha 0.1 -lr 0.005 -decay -iters 10 -neg 5
+//	                  -workers 1 -corpus-workers 0 -seed 1]
+//	                 [-poll 2s] [-once]
+//	                 [-serve-addr :8080 | -notify-pid PID]
+//	                 [-log-format text|json] [-log-level info] [-debug-addr :0]
+//	                 [-trace-out traces.jsonl] [-trace-slow-ms 100] [-trace-sample 0.01]
 //
 // The process may be killed at any instant — including kill -9 — and
 // restarted: the durable cursor, the publish intent and the training
@@ -24,34 +42,11 @@
 // hot-reloads it directly. With -notify-pid each publish sends SIGHUP to an
 // external serve process instead. With neither, publishes are silent (a
 // sidecar can watch the model file). -once drains the current backlog and
-// exits, for cron-style operation.
-package main
-
-import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
-
-	"inf2vec"
-	"inf2vec/internal/core"
-	"inf2vec/internal/obs"
-	"inf2vec/internal/pipeline"
-	"inf2vec/internal/serve"
-)
-
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "pipeline:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
+// exits, for cron-style operation. The first SIGINT or SIGTERM drains the
+// loop; a second one kills the process. With -serve-addr the in-process
+// server drains too, and a second signal while it drains aborts its
+// in-flight requests instead.
+func cmdPipeline(args []string) (err error) {
 	fs := flag.NewFlagSet("pipeline", flag.ContinueOnError)
 	graphPath := fs.String("graph", "", "edge-list TSV (required)")
 	logPath := fs.String("log", "", "append-only action-log TSV to tail (required)")
@@ -73,16 +68,15 @@ func run(args []string) error {
 	trainTimeout := fs.Duration("train-timeout", 0, "per-attempt training deadline (0 = unbounded; progress checkpoints either way)")
 	serveAddr := fs.String("serve-addr", "", "also serve the query API in-process on this address; publishes hot-reload it")
 	notifyPID := fs.Int("notify-pid", 0, "send SIGHUP to this pid after each publish (external serve process)")
-	logFormat := fs.String("log-format", "text", "log format: text or json")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
+	newLogger := logFlags(fs, "text")
 	debugAddr := fs.String("debug-addr", "", "serve pprof and /metrics on this address (e.g. localhost:6060)")
 	traceFlags := obs.RegisterTraceFlags(fs, 0.01)
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *version {
-		fmt.Printf("pipeline %s (%s)\n", obs.Version(), obs.GoVersion())
+		printVersion()
 		return nil
 	}
 	if *graphPath == "" || *logPath == "" || *modelPath == "" {
@@ -91,7 +85,7 @@ func run(args []string) error {
 	if *serveAddr != "" && *notifyPID != 0 {
 		return fmt.Errorf("-serve-addr and -notify-pid are mutually exclusive")
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		return err
 	}
@@ -99,7 +93,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
+	defer closeInto(&err, closeTrace)
 	g, err := inf2vec.ReadGraphFile(*graphPath)
 	if err != nil {
 		return err
@@ -140,7 +134,7 @@ func run(args []string) error {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signalContext()
 	defer stop()
 
 	var srv *serve.Server
@@ -181,12 +175,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *debugAddr != "" {
-		bound, err := obs.StartDebugServer(*debugAddr, cfg.Registry, cfg.Tracer)
-		if err != nil {
-			return err
-		}
-		logger.Info("debug server listening", "addr", bound)
+	if err := startDebug(logger, *debugAddr, cfg.Registry, cfg.Tracer); err != nil {
+		return err
 	}
 
 	if *once {

@@ -44,7 +44,7 @@ func TestOnceDrainsBacklogAndIsIdempotent(t *testing.T) {
 		"-dim", "8", "-len", "4", "-iters", "2", "-neg", "2", "-seed", "7",
 		"-once", "-log-level", "error",
 	}
-	if err := run(args); err != nil {
+	if err := cmdPipeline(args); err != nil {
 		t.Fatal(err)
 	}
 	st, err := embed.LoadFile(modelPath)
@@ -72,7 +72,7 @@ func TestOnceDrainsBacklogAndIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args); err != nil {
+	if err := cmdPipeline(args); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(modelPath)
@@ -92,7 +92,7 @@ func TestOnceDrainsBacklogAndIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run(args); err != nil {
+	if err := cmdPipeline(args); err != nil {
 		t.Fatal(err)
 	}
 	cur2, err := actionlog.LoadCursor(logPath + ".offset")
@@ -104,17 +104,17 @@ func TestOnceDrainsBacklogAndIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestVersionFlag(t *testing.T) {
-	if err := run([]string{"-version"}); err != nil {
+func TestPipelineVersionFlag(t *testing.T) {
+	if err := cmdPipeline([]string{"-version"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRequiredFlags(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := cmdPipeline(nil); err == nil {
 		t.Fatal("missing required flags accepted")
 	}
-	if err := run([]string{"-graph", "g", "-log", "l", "-model", "m", "-serve-addr", ":0", "-notify-pid", "1"}); err == nil {
+	if err := cmdPipeline([]string{"-graph", "g", "-log", "l", "-model", "m", "-serve-addr", ":0", "-notify-pid", "1"}); err == nil {
 		t.Fatal("-serve-addr with -notify-pid accepted")
 	}
 }

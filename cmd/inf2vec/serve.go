@@ -1,14 +1,26 @@
-// Command serve exposes a trained influence-embedding model as a
-// fault-tolerant JSON HTTP API.
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"time"
+
+	"inf2vec/internal/obs"
+	"inf2vec/internal/serve"
+)
+
+// cmdServe exposes a trained influence-embedding model as a fault-tolerant
+// JSON HTTP API.
 //
 // Usage:
 //
-//	serve -model model.i2v [-addr :8080] [-timeout 2s] [-max-timeout 30s]
-//	      [-model-precision fp32|int8]
-//	      [-max-inflight 256] [-drain-timeout 10s]
-//	      [-topk-index exact|ivf] [-topk-nprobe 0] [-topk-shadow-every 256]
-//	      [-graph graph.edges] [-seeds-max-inflight 2] [-seeds-cache 128]
-//	      [-seeds-offset -2]
+//	inf2vec serve -model model.i2v [-addr :8080] [-timeout 2s] [-max-timeout 30s]
+//	              [-model-precision fp32|int8]
+//	              [-max-inflight 256] [-drain-timeout 10s]
+//	              [-topk-index exact|ivf] [-topk-nprobe 0] [-topk-shadow-every 256]
+//	              [-graph graph.edges] [-seeds-max-inflight 2] [-seeds-cache 128]
+//	              [-seeds-offset -2]
 //
 // Endpoints:
 //
@@ -52,27 +64,7 @@
 //	SIGINT/SIGTERM graceful drain: stop accepting, flip /readyz to 503,
 //	              finish in-flight requests up to -drain-timeout; a second
 //	              signal aborts immediately
-package main
-
-import (
-	"context"
-	"flag"
-	"fmt"
-	"os"
-	"time"
-
-	"inf2vec/internal/obs"
-	"inf2vec/internal/serve"
-)
-
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
+func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	model := fs.String("model", "", "trained model file (required); SIGHUP re-reads it")
 	modelPrecision := fs.String("model-precision", "fp32", "in-memory model representation: fp32 (exact) or int8 (per-row quantized, ~4x less embedding memory)")
@@ -90,20 +82,19 @@ func run(args []string) error {
 	seedsOffset := fs.Float64("seeds-offset", -2, "logistic-link offset mapping model scores to IC edge probabilities")
 	debugAddr := fs.String("debug-addr", "", "serve pprof and /metrics on this second address (e.g. localhost:6060)")
 	traceFlags := obs.RegisterTraceFlags(fs, 0.01)
-	logFormat := fs.String("log-format", "json", "log format: text or json")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
+	newLogger := logFlags(fs, "json")
 	version := fs.Bool("version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *version {
-		fmt.Printf("serve %s (%s)\n", obs.Version(), obs.GoVersion())
+		printVersion()
 		return nil
 	}
 	if *model == "" {
 		return fmt.Errorf("-model is required")
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		return err
 	}
@@ -111,7 +102,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
+	defer closeInto(&err, closeTrace)
 	s, err := serve.New(serve.Config{
 		Addr:           *addr,
 		ModelPath:      *model,
@@ -135,12 +126,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *debugAddr != "" {
-		bound, err := obs.StartDebugServer(*debugAddr, s.Metrics(), s.Tracer())
-		if err != nil {
-			return err
-		}
-		logger.Info("debug server listening", "addr", bound)
+	if err := startDebug(logger, *debugAddr, s.Metrics(), s.Tracer()); err != nil {
+		return err
 	}
 	return s.Run(context.Background())
 }

@@ -1,10 +1,3 @@
-// Command stats runs the paper's §III data observations on any dataset:
-// Table I statistics, the Figure 1/2 source/target frequency distributions
-// with power-law fits, and the Figure 3 prior-active-friends CDF.
-//
-// Usage:
-//
-//	stats -graph graph.tsv -log actions.tsv
 package main
 
 import (
@@ -13,31 +6,33 @@ import (
 	"io"
 	"os"
 
-	"inf2vec"
 	"inf2vec/internal/diffusion"
 	"inf2vec/internal/eval"
 	"inf2vec/internal/stats"
 )
 
-func main() {
-	graphPath := flag.String("graph", "", "edge-list TSV (required)")
-	logPath := flag.String("log", "", "action-log TSV (required)")
-	flag.Parse()
-	if err := run(os.Stdout, *graphPath, *logPath); err != nil {
-		fmt.Fprintln(os.Stderr, "stats:", err)
-		os.Exit(1)
+// cmdStats runs the paper's §III data observations on any dataset: Table I
+// statistics, the Figure 1/2 source/target frequency distributions with
+// power-law fits, and the Figure 3 prior-active-friends CDF.
+//
+// Usage:
+//
+//	inf2vec stats -graph graph.tsv -log actions.tsv
+func cmdStats(args []string) error {
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
+	graphPath := fs.String("graph", "", "edge-list TSV (required)")
+	logPath := fs.String("log", "", "action-log TSV (required)")
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
+	return runStats(os.Stdout, *graphPath, *logPath)
 }
 
-func run(w io.Writer, graphPath, logPath string) error {
+func runStats(w io.Writer, graphPath, logPath string) error {
 	if graphPath == "" || logPath == "" {
 		return fmt.Errorf("-graph and -log are required")
 	}
-	g, err := inf2vec.ReadGraphFile(graphPath)
-	if err != nil {
-		return err
-	}
-	log, err := inf2vec.ReadActionLogFile(logPath, g.NumNodes())
+	g, log, err := loadData(graphPath, logPath)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func TestRunPrintsObservations(t *testing.T) {
 	lf.Close()
 
 	var sb strings.Builder
-	if err := run(&sb, graphPath, logPath); err != nil {
+	if err := runStats(&sb, graphPath, logPath); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -55,10 +55,10 @@ func TestRunPrintsObservations(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "", ""); err == nil {
+	if err := runStats(&sb, "", ""); err == nil {
 		t.Fatal("missing inputs accepted")
 	}
-	if err := run(&sb, "/nonexistent/graph.tsv", "/nonexistent/log.tsv"); err == nil {
+	if err := runStats(&sb, "/nonexistent/graph.tsv", "/nonexistent/log.tsv"); err == nil {
 		t.Fatal("nonexistent files accepted")
 	}
 }

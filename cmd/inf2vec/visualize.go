@@ -1,10 +1,3 @@
-// Command visualize renders a trained influence embedding as a 2-D t-SNE
-// scatter plot (the paper's Figure 6): the nodes participating in the most
-// frequent influence pairs are embedded, and the top-5 pairs highlighted.
-//
-// Usage:
-//
-//	visualize -graph graph.tsv -log actions.tsv -model model.i2v -out layout.svg
 package main
 
 import (
@@ -17,33 +10,35 @@ import (
 	"inf2vec/internal/tsne"
 )
 
-func main() {
-	graphPath := flag.String("graph", "", "edge-list TSV (required)")
-	logPath := flag.String("log", "", "action-log TSV (required)")
-	modelPath := flag.String("model", "", "trained model file (required)")
-	out := flag.String("out", "layout.svg", "output SVG path")
-	topPairs := flag.Int("pairs", 300, "number of most frequent influence pairs whose nodes are plotted")
-	highlight := flag.Int("highlight", 5, "number of top pairs to highlight")
-	perplexity := flag.Float64("perplexity", 20, "t-SNE perplexity")
-	iters := flag.Int("iters", 400, "t-SNE iterations")
-	seed := flag.Uint64("seed", 1, "t-SNE seed")
-	flag.Parse()
-
-	if err := run(*graphPath, *logPath, *modelPath, *out, *topPairs, *highlight, *perplexity, *iters, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "visualize:", err)
-		os.Exit(1)
+// cmdVisualize renders a trained influence embedding as a 2-D t-SNE
+// scatter plot (the paper's Figure 6): the nodes participating in the most
+// frequent influence pairs are embedded, and the top-5 pairs highlighted.
+//
+// Usage:
+//
+//	inf2vec visualize -graph graph.tsv -log actions.tsv -model model.i2v -out layout.svg
+func cmdVisualize(args []string) error {
+	fs := flag.NewFlagSet("visualize", flag.ContinueOnError)
+	graphPath := fs.String("graph", "", "edge-list TSV (required)")
+	logPath := fs.String("log", "", "action-log TSV (required)")
+	modelPath := fs.String("model", "", "trained model file (required)")
+	out := fs.String("out", "layout.svg", "output SVG path")
+	topPairs := fs.Int("pairs", 300, "number of most frequent influence pairs whose nodes are plotted")
+	highlight := fs.Int("highlight", 5, "number of top pairs to highlight")
+	perplexity := fs.Float64("perplexity", 20, "t-SNE perplexity")
+	iters := fs.Int("iters", 400, "t-SNE iterations")
+	seed := fs.Uint64("seed", 1, "t-SNE seed")
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
+	return runVisualize(*graphPath, *logPath, *modelPath, *out, *topPairs, *highlight, *perplexity, *iters, *seed)
 }
 
-func run(graphPath, logPath, modelPath, out string, topPairs, highlight int, perplexity float64, iters int, seed uint64) error {
+func runVisualize(graphPath, logPath, modelPath, out string, topPairs, highlight int, perplexity float64, iters int, seed uint64) error {
 	if graphPath == "" || logPath == "" || modelPath == "" {
 		return fmt.Errorf("-graph, -log and -model are required")
 	}
-	g, err := inf2vec.ReadGraphFile(graphPath)
-	if err != nil {
-		return err
-	}
-	log, err := inf2vec.ReadActionLogFile(logPath, g.NumNodes())
+	g, log, err := loadData(graphPath, logPath)
 	if err != nil {
 		return err
 	}

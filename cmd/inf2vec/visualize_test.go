@@ -53,7 +53,7 @@ func TestRunProducesSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run(graphPath, logPath, modelPath, outPath, 50, 5, 10, 60, 1); err != nil {
+	if err := runVisualize(graphPath, logPath, modelPath, outPath, 50, 5, 10, 60, 1); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(outPath)
@@ -65,8 +65,8 @@ func TestRunProducesSVG(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	if err := run("", "", "", "out.svg", 10, 5, 10, 50, 1); err == nil {
+func TestRunVisualizeValidation(t *testing.T) {
+	if err := runVisualize("", "", "", "out.svg", 10, 5, 10, 50, 1); err == nil {
 		t.Fatal("missing inputs accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -94,4 +95,70 @@ func FuzzLoadCursor(f *testing.F) {
 			t.Fatalf("accepted cursor re-encodes to different bytes:\n in  %x\n out %x", data, out)
 		}
 	})
+}
+
+// FuzzTail asserts the tailer's resume contract, which crash recovery
+// relies on: tailing a log cut at any byte and then resuming from the
+// returned offset reads exactly what one tail of the whole log reads.
+// Every returned offset is the start offset or follows a '\n', and none
+// lies past the bytes the call saw.
+func FuzzTail(f *testing.F) {
+	var actions []Action
+	for i := 0; i < 12; i++ {
+		actions = append(actions, Action{User: int32(i * 7 % 10), Item: int32(i % 3), Time: float64(i) * 1.5})
+	}
+	l, err := FromActions(10, actions)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTSV(&buf, l); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	for _, cut := range []int{0, 1, len(valid) / 3, len(valid) / 2, len(valid) - 1, len(valid)} {
+		f.Add(valid, uint(cut))
+	}
+	f.Add(append(append([]byte(nil), valid...), "3\t1\t9"...), uint(len(valid)+2))
+	f.Add([]byte("0\t0\t1\r\n\n# c\n1\t0\tNaN\nx\ty\tz\n2\t0\t3\n"), uint(12))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		cut %= uint(len(data)) + 1
+		onBoundary := func(call string, off, from int64, n int) {
+			t.Helper()
+			if off < from || off > int64(n) || (off != from && data[off-1] != '\n') {
+				t.Fatalf("%s: offset %d is not a line boundary in [%d, %d]", call, off, from, n)
+			}
+		}
+		whole, offW, errW := Tail(bytes.NewReader(data), 0)
+		onBoundary("whole", offW, 0, len(data))
+		first, off1, err1 := Tail(bytes.NewReader(data[:cut]), 0)
+		onBoundary("first", off1, 0, int(cut))
+		if err1 != nil {
+			if errW == nil || off1 != offW || !sameActions(first, whole) {
+				t.Fatalf("cut %d: first tail failed (%v) at %d with %d actions; whole tail: %v at %d with %d",
+					cut, err1, off1, len(first), errW, offW, len(whole))
+			}
+			return
+		}
+		rest, off2, err2 := Tail(bytes.NewReader(data[off1:]), off1)
+		onBoundary("resumed", off2, off1, len(data))
+		if off2 != offW || (err2 == nil) != (errW == nil) || !sameActions(append(first, rest...), whole) {
+			t.Fatalf("cut %d: resumed tails end at %d (err %v) with %d+%d actions; whole tail at %d (err %v) with %d",
+				cut, off2, err2, len(first), len(rest), offW, errW, len(whole))
+		}
+	})
+}
+
+// sameActions compares action lists bit for bit, so that NaN times match.
+func sameActions(a, b []Action) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].User != b[i].User || a[i].Item != b[i].Item ||
+			math.Float64bits(a[i].Time) != math.Float64bits(b[i].Time) {
+			return false
+		}
+	}
+	return true
 }

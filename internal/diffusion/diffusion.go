@@ -50,7 +50,6 @@ type PropNet struct {
 	Item  int32
 	users []int32   // local index -> user ID, chronological adoption order
 	out   [][]int32 // local adjacency: out[i] lists local successor indices
-	in    [][]int32 // local adjacency: in[i] lists local predecessor indices
 	edges int
 }
 
@@ -64,7 +63,6 @@ func BuildPropNet(g *graph.Graph, e *actionlog.Episode) *PropNet {
 		Item:  e.Item,
 		users: make([]int32, n),
 		out:   make([][]int32, n),
-		in:    make([][]int32, n),
 	}
 	local := make(map[int32]int32, n)
 	for i, r := range e.Records {
@@ -80,7 +78,6 @@ func BuildPropNet(g *graph.Graph, e *actionlog.Episode) *PropNet {
 			}
 			if e.Records[i].Time < r.Time {
 				pn.out[i] = append(pn.out[i], int32(j))
-				pn.in[j] = append(pn.in[j], i)
 				pn.edges++
 			}
 		}
@@ -107,24 +104,6 @@ func (p *PropNet) Users() []int32 { return p.users }
 // OutLocal returns the local successor indices of local node i (shared,
 // read-only).
 func (p *PropNet) OutLocal(i int32) []int32 { return p.out[i] }
-
-// InLocal returns the local predecessor indices of local node i (shared,
-// read-only).
-func (p *PropNet) InLocal(i int32) []int32 { return p.in[i] }
-
-// IsDAG verifies that every edge goes forward in local (chronological)
-// order. It always holds for networks produced by BuildPropNet and exists
-// for property testing.
-func (p *PropNet) IsDAG() bool {
-	for i := range p.out {
-		for _, j := range p.out[i] {
-			if j <= int32(i) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // PairCounts aggregates influence-pair frequencies over a whole log. It
 // backs the paper's Figures 1 and 2 (source/target frequency distributions)

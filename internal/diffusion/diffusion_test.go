@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,7 +88,7 @@ func TestBuildPropNet(t *testing.T) {
 	if pn.NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d, want 4", pn.NumEdges())
 	}
-	if !pn.IsDAG() {
+	if !isDAG(pn) {
 		t.Fatal("propagation network is not a DAG")
 	}
 	// Local index 0 is u4 (first adopter); its successors are u1 (local 3)
@@ -100,10 +101,28 @@ func TestBuildPropNet(t *testing.T) {
 		t.Fatalf("OutLocal(0) = %v, want [3 4]", out)
 	}
 	// u5 (local 4) has exactly one predecessor: u4 (local 0).
-	in := pn.InLocal(4)
-	if len(in) != 1 || in[0] != 0 {
-		t.Fatalf("InLocal(4) = %v, want [0]", in)
+	var in []int32
+	for i := int32(0); i < int32(pn.NumNodes()); i++ {
+		if slices.Contains(pn.OutLocal(i), 4) {
+			in = append(in, i)
+		}
 	}
+	if len(in) != 1 || in[0] != 0 {
+		t.Fatalf("predecessors of local 4 = %v, want [0]", in)
+	}
+}
+
+// isDAG reports whether every edge of pn goes forward in local
+// (chronological) order, as BuildPropNet promises.
+func isDAG(pn *PropNet) bool {
+	for i := int32(0); i < int32(pn.NumNodes()); i++ {
+		for _, j := range pn.OutLocal(i) {
+			if j <= i {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestPropNetIsolatedNodes(t *testing.T) {
@@ -207,7 +226,7 @@ func TestDefinitionOneInvariant(t *testing.T) {
 			}
 		}
 		pn := BuildPropNet(g, e)
-		return pn.IsDAG() && pn.NumEdges() == len(pairs)
+		return isDAG(pn) && pn.NumEdges() == len(pairs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

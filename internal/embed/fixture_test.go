@@ -83,12 +83,16 @@ func TestFixtureV1(t *testing.T) {
 
 func TestFixtureV3(t *testing.T) {
 	want := readFixture(t, "store_v3.i2v")
-	var saved bytes.Buffer
-	if err := fixtureStore(t).SavePrecision(&saved, PrecisionInt8); err != nil {
+	path := filepath.Join(t.TempDir(), "store_v3.i2v")
+	if err := fixtureStore(t).SaveFilePrecision(path, PrecisionInt8); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saved.Bytes(), want) {
-		t.Fatal("SavePrecision(int8) no longer writes the v3 fixture bytes")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved, want) {
+		t.Fatal("SaveFilePrecision(int8) no longer writes the v3 fixture bytes")
 	}
 	f, err := os.Open(filepath.Join("testdata", "store_v3.i2v"))
 	if err != nil {

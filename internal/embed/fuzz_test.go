@@ -61,8 +61,9 @@ func FuzzLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 		s.Init(rng.New(2))
+		q, _ := Quantize(s)
 		var buf bytes.Buffer
-		if err := s.SavePrecision(&buf, PrecisionInt8); err != nil {
+		if err := q.Save(&buf); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()

@@ -247,20 +247,8 @@ func (q *QuantizedStore) Checksum() uint32 {
 	return q.saveBody(io.Discard).Sum()
 }
 
-// SavePrecision writes the store to w at the requested precision: the
-// bit-exact v2 format for PrecisionFP32, or quantized v3 for PrecisionInt8.
-func (s *Store) SavePrecision(w io.Writer, p Precision) error {
-	switch p {
-	case PrecisionFP32:
-		return s.Save(w)
-	case PrecisionInt8:
-		q, _ := Quantize(s)
-		return q.Save(w)
-	}
-	return fmt.Errorf("embed: save: unknown precision %v", p)
-}
-
-// SaveFilePrecision is SaveFile at the requested precision.
+// SaveFilePrecision is SaveFile at the requested precision: the bit-exact
+// v2 format for PrecisionFP32, or quantized v3 for PrecisionInt8.
 func (s *Store) SaveFilePrecision(path string, p Precision) error {
 	if p == PrecisionFP32 {
 		return s.SaveFile(path)

@@ -88,9 +88,9 @@ func TestQuantizedVecAccessorsMatchDequantize(t *testing.T) {
 // TestV3RoundTripIdenticalBytes pins the acceptance bound: a v3 file
 // round-trips Save → LoadQuantized → Save to identical bytes.
 func TestV3RoundTripIdenticalBytes(t *testing.T) {
-	s := testStore(t, 23, 12)
+	q0, _ := Quantize(testStore(t, 23, 12))
 	var first bytes.Buffer
-	if err := s.SavePrecision(&first, PrecisionInt8); err != nil {
+	if err := q0.Save(&first); err != nil {
 		t.Fatal(err)
 	}
 	if int64(first.Len()) != quantSaveSize(23, 12) {
@@ -121,7 +121,7 @@ func TestV3RoundTripIdenticalBytes(t *testing.T) {
 func TestV2RoundTripIdenticalBytes(t *testing.T) {
 	s := testStore(t, 11, 6)
 	var first bytes.Buffer
-	if err := s.SavePrecision(&first, PrecisionFP32); err != nil {
+	if err := s.Save(&first); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Load(bytes.NewReader(first.Bytes()))
@@ -139,15 +139,15 @@ func TestV2RoundTripIdenticalBytes(t *testing.T) {
 
 func TestLoadDequantizesV3(t *testing.T) {
 	s := testStore(t, 14, 8)
+	q, _ := Quantize(s)
 	var buf bytes.Buffer
-	if err := s.SavePrecision(&buf, PrecisionInt8); err != nil {
+	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := Quantize(s)
 	want := q.Dequantize()
 	for u := int32(0); u < s.NumUsers(); u++ {
 		for i := 0; i < s.Dim(); i++ {
@@ -221,8 +221,9 @@ func TestQuantizeNonFiniteRows(t *testing.T) {
 // v3Bytes returns a valid saved v3 store for corruption tests.
 func v3Bytes(t *testing.T, n int32, k int) []byte {
 	t.Helper()
+	q, _ := Quantize(testStore(t, n, k))
 	var buf bytes.Buffer
-	if err := testStore(t, n, k).SavePrecision(&buf, PrecisionInt8); err != nil {
+	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

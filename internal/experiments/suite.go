@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation section (§V) on the synthetic digg-like and flickr-like
-// datasets. Each runner returns structured results that cmd/experiments and
-// the root bench harness render in the shape of the paper's tables.
+// datasets. Each runner returns structured results that the inf2vec
+// experiments subcommand and the root bench harness render in the shape of
+// the paper's tables.
 //
 // A Suite lazily generates and caches datasets, train/tune/test splits and
 // trained models so that, e.g., Table II and Table III share the same seven

@@ -111,7 +111,7 @@ func TestModelsCanceledContext(t *testing.T) {
 }
 
 // TestInf2vecSpansHangOffTheSuiteContext trains one Inf2vec model under a
-// traced suite context, as cmd/experiments does, and checks that its
+// traced suite context, as `inf2vec experiments` does, and checks that its
 // corpus_gen span and one epoch span per pass are children of the
 // context's span.
 func TestInf2vecSpansHangOffTheSuiteContext(t *testing.T) {

@@ -183,40 +183,3 @@ func FromEdges(n int32, edges [][2]int32) (*Graph, error) {
 	}
 	return b.Build(), nil
 }
-
-// Reachable returns the set of nodes reachable from the seed set (including
-// the seeds themselves) by following out-edges, as a boolean mask indexed by
-// node ID.
-func (g *Graph) Reachable(seeds []int32) []bool {
-	mask := make([]bool, g.n)
-	queue := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if s >= 0 && s < g.n && !mask[s] {
-			mask[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(u) {
-			if !mask[v] {
-				mask[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return mask
-}
-
-// MaxOutDegree returns the largest out-degree in the graph, or 0 for an
-// empty graph.
-func (g *Graph) MaxOutDegree() int32 {
-	var m int32
-	for u := int32(0); u < g.n; u++ {
-		if d := g.OutDegree(u); d > m {
-			m = d
-		}
-	}
-	return m
-}

@@ -97,9 +97,6 @@ func TestDegrees(t *testing.T) {
 	if g.OutDegree(3) != 0 || g.InDegree(3) != 2 {
 		t.Errorf("node 3 degrees: out=%d in=%d", g.OutDegree(3), g.InDegree(3))
 	}
-	if g.MaxOutDegree() != 2 {
-		t.Errorf("MaxOutDegree = %d, want 2", g.MaxOutDegree())
-	}
 }
 
 func TestHasEdge(t *testing.T) {
@@ -132,32 +129,10 @@ func TestEdgesIterationAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g, err := FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := g.Reachable([]int32{0})
-	want := []bool{true, true, true, false, false, false}
-	for i := range want {
-		if mask[i] != want[i] {
-			t.Fatalf("Reachable mask = %v, want %v", mask, want)
-		}
-	}
-	// Multiple seeds, out-of-range seeds ignored.
-	mask = g.Reachable([]int32{0, 3, -1, 99})
-	if !mask[4] || mask[5] {
-		t.Fatalf("multi-seed Reachable mask = %v", mask)
-	}
-}
-
 func TestEmptyGraph(t *testing.T) {
 	g := NewBuilder(0).Build()
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty graph: n=%d m=%d", g.NumNodes(), g.NumEdges())
-	}
-	if g.MaxOutDegree() != 0 {
-		t.Fatalf("empty MaxOutDegree = %d", g.MaxOutDegree())
 	}
 }
 

@@ -1,13 +1,13 @@
-// Package ic implements the two classical influence-spread models the paper
-// builds its baselines on — the Independent Cascade (IC) model and the
-// Linear Threshold (LT) model — together with the Monte-Carlo machinery
-// used to score diffusion prediction for edge-probability methods.
+// Package ic implements the Independent Cascade (IC) influence-spread model
+// the paper builds its baselines on, together with the Monte-Carlo
+// machinery used to score diffusion prediction for edge-probability
+// methods.
 //
-// The IC simulators (SimulateIC, MonteCarlo, ExpectedSpread) run over an
-// EdgeProbs table that stores one probability per edge beside the graph's
-// CSR adjacency; Tabulate fills one from any EdgeProber. SimulateLT and
-// ActivationProb consume the EdgeProber interface directly, which the
-// DE/ST/EM/Emb-IC baselines implement.
+// The IC simulators (MonteCarlo, ExpectedSpread) run over an EdgeProbs
+// table that stores one probability per edge beside the graph's CSR
+// adjacency; Tabulate fills one from any EdgeProber. ActivationProb
+// consumes the EdgeProber interface directly, which the DE/ST/EM/Emb-IC
+// baselines implement.
 package ic
 
 import (
@@ -56,18 +56,11 @@ func ActivationProb(p EdgeProber, active []int32, v int32) float64 {
 	return 1 - stay
 }
 
-// SimulateIC runs one independent-cascade realization from the seed set and
-// returns the activation mask. Each newly activated node gets a single
-// chance to activate each currently inactive out-neighbor with the edge's
-// probability; the process ends when no new node activates.
-func SimulateIC(p *EdgeProbs, seeds []int32, r *rng.RNG) []bool {
-	active := make([]bool, p.g.NumNodes())
-	p.cascade(seeds, r, active, nil)
-	return active
-}
-
-// cascade runs one IC realization, marking each node it activates in active
-// and appending it to queue[:0]. The queue is the breadth-first frontier:
+// cascade runs one independent-cascade realization from the seed set,
+// marking each node it activates in active and appending it to queue[:0].
+// Each newly activated node gets a single chance to activate each currently
+// inactive out-neighbor with the edge's probability; the process ends when
+// no new node activates. The queue is the breadth-first frontier:
 // the sanitized seeds (in range, first occurrence) in order, then every
 // activation in discovery order. One r.Float64() is drawn per trial on a
 // not-yet-active out-neighbor, in frontier order then adjacency order.
@@ -91,46 +84,6 @@ func (e *EdgeProbs) cascade(seeds []int32, r *rng.RNG, active []bool, queue []in
 		}
 	}
 	return queue
-}
-
-// SimulateLT runs one linear-threshold realization: each node draws a
-// uniform threshold, and an inactive node activates once the summed weights
-// of its active in-neighbors reach the threshold. Weights are read from the
-// prober; callers should provide weights with ∑_u w_uv ≤ 1 (the DE
-// 1/indegree weighting satisfies this exactly).
-func SimulateLT(g *graph.Graph, w EdgeProber, seeds []int32, r *rng.RNG) []bool {
-	n := g.NumNodes()
-	active := make([]bool, n)
-	threshold := make([]float64, n)
-	influence := make([]float64, n)
-	for v := int32(0); v < n; v++ {
-		threshold[v] = r.Float64()
-	}
-	frontier := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if s >= 0 && s < n && !active[s] {
-			active[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	var next []int32
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, v := range g.OutNeighbors(u) {
-				if active[v] {
-					continue
-				}
-				influence[v] += w.Prob(u, v)
-				if influence[v] >= threshold[v] {
-					active[v] = true
-					next = append(next, v)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return active
 }
 
 // MonteCarlo estimates each node's activation probability from the seed set
@@ -287,10 +240,3 @@ func (e *EdgeProbs) SetAt(i int64, prob float64) {
 
 // NumEdges returns the number of stored edge slots.
 func (e *EdgeProbs) NumEdges() int64 { return int64(len(e.p)) }
-
-// Fill sets every edge probability to prob.
-func (e *EdgeProbs) Fill(prob float64) {
-	for i := range e.p {
-		e.p[i] = prob
-	}
-}

@@ -42,6 +42,14 @@ func tab(t *testing.T, g *graph.Graph, p EdgeProber) *EdgeProbs {
 	return e
 }
 
+// simulateIC runs one cascade over p, the realization MonteCarlo and
+// ExpectedSpread average, and returns its activation mask.
+func simulateIC(p *EdgeProbs, seeds []int32, r *rng.RNG) []bool {
+	active := make([]bool, p.g.NumNodes())
+	p.cascade(seeds, r, active, nil)
+	return active
+}
+
 func TestActivationProb(t *testing.T) {
 	g := mustGraph(t, 3, [][2]int32{{0, 2}, {1, 2}})
 	p := constProber{g: g, p: 0.5}
@@ -61,13 +69,13 @@ func TestActivationProb(t *testing.T) {
 func TestSimulateICDeterministicExtremes(t *testing.T) {
 	g := mustGraph(t, 4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	r := rng.New(1)
-	all := SimulateIC(tab(t, g, constProber{g, 1}), []int32{0}, r)
+	all := simulateIC(tab(t, g, constProber{g, 1}), []int32{0}, r)
 	for v, a := range all {
 		if !a {
 			t.Fatalf("prob-1 chain: node %d inactive", v)
 		}
 	}
-	none := SimulateIC(tab(t, g, constProber{g, 0}), []int32{0}, r)
+	none := simulateIC(tab(t, g, constProber{g, 0}), []int32{0}, r)
 	if !none[0] || none[1] || none[2] || none[3] {
 		t.Fatalf("prob-0 chain: mask = %v", none)
 	}
@@ -75,7 +83,7 @@ func TestSimulateICDeterministicExtremes(t *testing.T) {
 
 func TestSimulateICSeedsSanitized(t *testing.T) {
 	g := mustGraph(t, 3, nil)
-	mask := SimulateIC(tab(t, g, constProber{g, 1}), []int32{-4, 1, 1, 99}, rng.New(2))
+	mask := simulateIC(tab(t, g, constProber{g, 1}), []int32{-4, 1, 1, 99}, rng.New(2))
 	if mask[0] || !mask[1] || mask[2] {
 		t.Fatalf("mask = %v, want only node 1", mask)
 	}
@@ -90,7 +98,7 @@ func TestSimulateICSingleChance(t *testing.T) {
 	hits := 0
 	const runs = 20000
 	for i := 0; i < runs; i++ {
-		if SimulateIC(p, []int32{0}, r)[1] {
+		if simulateIC(p, []int32{0}, r)[1] {
 			hits++
 		}
 	}
@@ -136,43 +144,6 @@ func TestExpectedSpread(t *testing.T) {
 	}
 	if spread != 3 {
 		t.Fatalf("spread = %v, want 3", spread)
-	}
-}
-
-func TestSimulateLT(t *testing.T) {
-	// v=2 has two in-neighbors each with weight 0.5; with both seeds active
-	// the incoming weight is 1 >= any threshold, so 2 always activates.
-	g := mustGraph(t, 3, [][2]int32{{0, 2}, {1, 2}})
-	r := rng.New(7)
-	for i := 0; i < 50; i++ {
-		mask := SimulateLT(g, constProber{g, 0.5}, []int32{0, 1}, r)
-		if !mask[2] {
-			t.Fatal("LT: node with full incoming weight failed to activate")
-		}
-	}
-	// With a single seed the weight is 0.5: activation frequency ~0.5.
-	hits := 0
-	const runs = 20000
-	for i := 0; i < runs; i++ {
-		if SimulateLT(g, constProber{g, 0.5}, []int32{0}, r)[2] {
-			hits++
-		}
-	}
-	freq := float64(hits) / runs
-	if math.Abs(freq-0.5) > 0.02 {
-		t.Fatalf("LT single-parent frequency = %v, want ~0.5", freq)
-	}
-}
-
-func TestSimulateLTCascades(t *testing.T) {
-	// Chain with weight 1 edges: everything downstream of the seed
-	// activates regardless of thresholds.
-	g := mustGraph(t, 4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
-	mask := SimulateLT(g, constProber{g, 1}, []int32{0}, rng.New(8))
-	for v, a := range mask {
-		if !a {
-			t.Fatalf("LT chain: node %d inactive", v)
-		}
 	}
 }
 
@@ -348,7 +319,7 @@ func requireSameState(t *testing.T, what string, got, want *rng.RNG) {
 	}
 }
 
-// TestTableMatchesPerTrialReference checks SimulateIC, MonteCarlo and
+// TestTableMatchesPerTrialReference checks the cascade, MonteCarlo and
 // ExpectedSpread over a table against the per-trial loop, bit for bit and
 // draw for draw, on graphs with isolated nodes and hubs, probabilities 0, 1
 // and NaN, and seed sets with negative, duplicate and out-of-range IDs.
@@ -375,13 +346,13 @@ func TestTableMatchesPerTrialReference(t *testing.T) {
 			}
 
 			wantMask := refSimulateIC(g, p, seeds, ref)
-			haveMask := SimulateIC(table, seeds, got)
+			haveMask := simulateIC(table, seeds, got)
 			for v := range wantMask {
 				if haveMask[v] != wantMask[v] {
-					t.Fatalf("SimulateIC: node %d active=%v, reference %v", v, haveMask[v], wantMask[v])
+					t.Fatalf("cascade: node %d active=%v, reference %v", v, haveMask[v], wantMask[v])
 				}
 			}
-			requireSameState(t, "SimulateIC", got, ref)
+			requireSameState(t, "cascade", got, ref)
 
 			probs, err := refMonteCarlo(ctx, g, p, seeds, 30, ref)
 			if err != nil {

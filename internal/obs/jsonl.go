@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
@@ -14,13 +13,7 @@ import (
 type JSONLWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder
-	c   io.Closer // non-nil when the writer owns the underlying file
-}
-
-// NewJSONLWriter wraps w. Close is a no-op for writers built this way; the
-// caller owns w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
+	f   *os.File // nil once closed
 }
 
 // CreateJSONL creates (truncating) the file at path and returns a writer
@@ -30,7 +23,7 @@ func CreateJSONL(path string) (*JSONLWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry sink: %w", err)
 	}
-	return &JSONLWriter{enc: json.NewEncoder(f), c: f}, nil
+	return &JSONLWriter{enc: json.NewEncoder(f), f: f}, nil
 }
 
 // Write appends v as one JSON line.
@@ -40,14 +33,14 @@ func (j *JSONLWriter) Write(v any) error {
 	return j.enc.Encode(v)
 }
 
-// Close closes the underlying file when the writer owns one.
+// Close closes the file; closing again is a no-op.
 func (j *JSONLWriter) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.c == nil {
+	if j.f == nil {
 		return nil
 	}
-	err := j.c.Close()
-	j.c = nil
+	err := j.f.Close()
+	j.f = nil
 	return err
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -384,15 +386,25 @@ func TestTracesHandlerFilters(t *testing.T) {
 }
 
 func TestTraceSinkReceivesKeptTraces(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLWriter(&buf)
+	path := filepath.Join(t.TempDir(), "traces.jsonl")
+	sink, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := NewTracer(TracerConfig{SampleRate: 1, SlowThreshold: -1, RingSize: 4, Sink: sink})
 	ctx, root := tr.StartRoot(context.Background(), "sinked")
 	_, c := StartSpan(ctx, "child")
 	c.End()
 	root.End()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	line := strings.TrimSpace(buf.String())
+	line := strings.TrimSpace(string(raw))
 	if line == "" {
 		t.Fatal("sink received nothing")
 	}

@@ -181,14 +181,6 @@ func (r *RNG) ShuffleInts(p []int) {
 	}
 }
 
-// ShuffleInt32s permutes p uniformly at random in place.
-func (r *RNG) ShuffleInt32s(p []int32) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
 // Shuffle permutes n elements in place using the provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -219,11 +219,11 @@ func TestPermIsPermutation(t *testing.T) {
 }
 
 func TestShufflePreservesElements(t *testing.T) {
-	f := func(seed uint64, raw []int32) bool {
+	f := func(seed uint64, raw []int) bool {
 		r := New(seed)
-		cp := append([]int32(nil), raw...)
-		r.ShuffleInt32s(cp)
-		counts := map[int32]int{}
+		cp := append([]int(nil), raw...)
+		r.ShuffleInts(cp)
+		counts := map[int]int{}
 		for _, v := range raw {
 			counts[v]++
 		}

@@ -70,6 +70,9 @@ func Run(ctx context.Context, cfg RunConfig, pass func(done <-chan struct{}, epo
 	}
 	res := &RunResult{}
 	done := ctx.Done()
+	var span *obs.Span // the open epoch span
+	// A pass or Probe that panics still ends its epoch span, as core's do.
+	defer func() { span.EndWith("aborted") }()
 	emit(Event{Kind: EventTrainStart, Epochs: cfg.Epochs})
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if ctx.Err() != nil {
@@ -85,7 +88,7 @@ func Run(ctx context.Context, cfg RunConfig, pass func(done <-chan struct{}, epo
 		// Each pass is a span when ctx carries one (inert otherwise), so a
 		// traced experiment or pipeline round shows per-epoch latency with
 		// the same loss/throughput figures as the telemetry stream.
-		_, span := obs.StartSpan(ctx, "epoch")
+		span = obs.ChildSpan(ctx, "epoch")
 		span.SetAttr("method", cfg.Method)
 		span.SetAttr("epoch", epoch+1)
 		span.SetAttr("lr", lr)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"inf2vec/internal/obs"
@@ -79,7 +80,8 @@ func TestRunCancellation(t *testing.T) {
 // TestRunEpochSpans traces a run and asserts each pass became an "epoch"
 // child span carrying the same loss/throughput figures as the telemetry
 // stream, with a mid-pass cancellation closing the in-flight span as
-// canceled rather than leaking it.
+// canceled and a recovered panic closing it as aborted rather than leaking
+// it.
 func TestRunEpochSpans(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, SlowThreshold: -1})
 	ctx, root := tracer.StartRoot(context.Background(), "baseline")
@@ -146,6 +148,53 @@ func TestRunEpochSpans(t *testing.T) {
 	}
 	if open := tracer.OpenSpans(); open != 0 {
 		t.Fatalf("%d spans still open after cancellation", open)
+	}
+
+	// A pass that panics at epoch 2, and a Probe that panics: the epoch
+	// span the panic unwinds through closes as aborted.
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+		pass func(done <-chan struct{}, epoch int) Totals
+		want []string // epoch span statuses
+	}{
+		{"pass", RunConfig{Method: "demo", Epochs: 3}, func(done <-chan struct{}, epoch int) Totals {
+			if epoch == 1 {
+				panic("pass")
+			}
+			return Totals{Loss: -1, Examples: 1}
+		}, []string{"", "aborted"}},
+		{"probe", RunConfig{Method: "demo", Epochs: 3, Probe: func() bool { panic("probe") }},
+			func(done <-chan struct{}, epoch int) Totals { return Totals{Loss: -1, Examples: 1} },
+			[]string{"aborted"}},
+	} {
+		rootName := "baseline_panic_" + tc.name
+		ctx3, root3 := tracer.StartRoot(context.Background(), rootName)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Run did not panic", tc.name)
+				}
+			}()
+			Run(ctx3, tc.cfg, tc.pass)
+		}()
+		root3.End()
+		if open := tracer.OpenSpans(); open != 0 {
+			t.Fatalf("%s: %d spans still open after a recovered panic", tc.name, open)
+		}
+		traces = tracer.Traces(obs.TraceFilter{Root: rootName})
+		if len(traces) != 1 {
+			t.Fatalf("%s: got %d traces, want 1", tc.name, len(traces))
+		}
+		statuses = statuses[:0]
+		for _, s := range traces[0].Spans {
+			if s.Name == "epoch" {
+				statuses = append(statuses, s.Status)
+			}
+		}
+		if !slices.Equal(statuses, tc.want) {
+			t.Fatalf("%s: epoch span statuses = %q, want %q", tc.name, statuses, tc.want)
+		}
 	}
 }
 

@@ -17,13 +17,6 @@ package vecmath
 
 import "math"
 
-// Scale multiplies a by alpha in place.
-func Scale(alpha float32, a []float32) {
-	for i := range a {
-		a[i] *= alpha
-	}
-}
-
 // Zero sets a to all zeros.
 func Zero(a []float32) {
 	for i := range a {
@@ -37,15 +30,6 @@ func Copy(dst, src []float32) {
 		panic("vecmath: Copy length mismatch")
 	}
 	copy(dst, src)
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float32) float32 {
-	var s float64
-	for _, v := range a {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
 }
 
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if

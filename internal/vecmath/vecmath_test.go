@@ -48,26 +48,13 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScaleAndZero(t *testing.T) {
+func TestZero(t *testing.T) {
 	a := []float32{1, -2, 4}
-	Scale(0.5, a)
-	if a[0] != 0.5 || a[1] != -1 || a[2] != 2 {
-		t.Fatalf("Scale result %v", a)
-	}
 	Zero(a)
 	for _, v := range a {
 		if v != 0 {
 			t.Fatalf("Zero left %v", a)
 		}
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float32{3, 4}); !almostEqual(float64(got), 5, 1e-6) {
-		t.Errorf("Norm2(3,4) = %v, want 5", got)
-	}
-	if got := Norm2(nil); got != 0 {
-		t.Errorf("Norm2(nil) = %v, want 0", got)
 	}
 }
 

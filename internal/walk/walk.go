@@ -13,24 +13,21 @@ import (
 	"inf2vec/internal/rng"
 )
 
-// Restart generates up to length local-index context nodes by a random walk
-// with restart on the propagation network pn, starting at local node start.
+// AppendRestart generates up to length local-index context nodes by a random
+// walk with restart on the propagation network pn, starting at local node
+// start, and appends them to dst.
 //
 // Each step moves to a uniformly random successor of the current node and
 // records it; after every move the walk returns to start with probability
 // restart. A node with no successors sends the walk back to start; if start
 // itself has no successors the walk ends immediately (the local context of
-// an influence sink is empty). Returned indices may repeat — the context is
-// a multiset, exactly as repeated words are in word2vec.
-func Restart(pn *diffusion.PropNet, start int32, length int, restart float64, r *rng.RNG) []int32 {
-	return AppendRestart(pn, start, length, restart, r, nil)
-}
-
-// AppendRestart is Restart appending into dst and returning the extended
-// slice. Callers that generate many contexts (corpus generation walks once
-// per adopter per episode) pass a reusable buffer to avoid one allocation
-// per walk; dst's backing array is reused when capacity allows. A start with
-// no successors returns dst unchanged.
+// an influence sink is empty) and dst is returned unchanged. Returned
+// indices may repeat — the context is a multiset, exactly as repeated words
+// are in word2vec.
+//
+// Callers that generate many contexts (corpus generation walks once per
+// adopter per episode) pass a reusable buffer to avoid one allocation per
+// walk; dst's backing array is reused when capacity allows.
 func AppendRestart(pn *diffusion.PropNet, start int32, length int, restart float64, r *rng.RNG, dst []int32) []int32 {
 	if length <= 0 || len(pn.OutLocal(start)) == 0 {
 		return dst

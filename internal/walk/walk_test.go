@@ -27,7 +27,7 @@ func chainNet(t *testing.T) *diffusion.PropNet {
 func TestRestartLengthAndRange(t *testing.T) {
 	pn := chainNet(t)
 	r := rng.New(1)
-	ctx := Restart(pn, 0, 50, 0.5, r)
+	ctx := AppendRestart(pn, 0, 50, 0.5, r, nil)
 	if len(ctx) != 50 {
 		t.Fatalf("context length = %d, want 50", len(ctx))
 	}
@@ -41,14 +41,14 @@ func TestRestartLengthAndRange(t *testing.T) {
 func TestRestartDeadStart(t *testing.T) {
 	pn := chainNet(t)
 	// Local node 3 is the chain's sink: no successors.
-	if ctx := Restart(pn, 3, 10, 0.5, rng.New(2)); len(ctx) != 0 {
+	if ctx := AppendRestart(pn, 3, 10, 0.5, rng.New(2), nil); len(ctx) != 0 {
 		t.Fatalf("sink context = %v, want empty", ctx)
 	}
 }
 
 func TestRestartZeroLength(t *testing.T) {
 	pn := chainNet(t)
-	if ctx := Restart(pn, 0, 0, 0.5, rng.New(3)); ctx != nil {
+	if ctx := AppendRestart(pn, 0, 0, 0.5, rng.New(3), nil); ctx != nil {
 		t.Fatalf("zero-length context = %v, want nil", ctx)
 	}
 }
@@ -60,7 +60,7 @@ func TestRestartLocality(t *testing.T) {
 	r := rng.New(4)
 	counts := make([]int, 4)
 	for trial := 0; trial < 2000; trial++ {
-		for _, c := range Restart(pn, 0, 5, 0.5, r) {
+		for _, c := range AppendRestart(pn, 0, 5, 0.5, r, nil) {
 			counts[c]++
 		}
 	}
@@ -77,7 +77,7 @@ func TestRestartHighRestartStaysFirstHop(t *testing.T) {
 	r := rng.New(5)
 	// restart = 1: every step returns home, so only direct successors appear.
 	for trial := 0; trial < 100; trial++ {
-		for _, c := range Restart(pn, 0, 10, 1.0, r) {
+		for _, c := range AppendRestart(pn, 0, 10, 1.0, r, nil) {
 			if c != 1 {
 				t.Fatalf("restart=1 visited %d, want only node 1", c)
 			}
@@ -96,7 +96,7 @@ func TestRestartDeadEndRecovery(t *testing.T) {
 		{User: 0, Time: 0}, {User: 1, Time: 1}, {User: 2, Time: 2},
 	}}
 	pn := diffusion.BuildPropNet(g, e)
-	ctx := Restart(pn, 0, 20, 0.0, rng.New(6)) // restart 0: recovery only via dead ends
+	ctx := AppendRestart(pn, 0, 20, 0.0, rng.New(6), nil) // restart 0: recovery only via dead ends
 	if len(ctx) != 20 {
 		t.Fatalf("context length = %d, want 20 (dead-end recovery)", len(ctx))
 	}
@@ -226,13 +226,13 @@ func TestWindowPairsCount(t *testing.T) {
 
 // TestAppendRestartMatchesRestart pins the buffer-reuse fast path: feeding
 // the same RNG stream, AppendRestart into a recycled buffer must emit
-// exactly the walks Restart allocates fresh.
+// exactly the walks it allocates fresh from a nil dst.
 func TestAppendRestartMatchesRestart(t *testing.T) {
 	pn := chainNet(t)
 	r1, r2 := rng.New(9), rng.New(9)
 	var buf []int32
 	for trial := 0; trial < 200; trial++ {
-		want := Restart(pn, 0, 20, 0.5, r1)
+		want := AppendRestart(pn, 0, 20, 0.5, r1, nil)
 		buf = AppendRestart(pn, 0, 20, 0.5, r2, buf[:0])
 		if len(buf) != len(want) {
 			t.Fatalf("trial %d: lengths %d vs %d", trial, len(buf), len(want))
