@@ -409,3 +409,38 @@ func TestCheckpointFileUpdatedEachInterval(t *testing.T) {
 		t.Fatalf("checkpoint has %d epoch stats, want 5", len(st.EpochLoss))
 	}
 }
+
+// TestCheckpointSnapshotReusesOneStore pins what in-memory checkpoints
+// allocate: every one copies the store into the same snapshot store, so ten
+// epochs at CheckpointEvery 1 allocate less than two stores more than the
+// same run without checkpoints. A clone per checkpoint allocated ten.
+func TestCheckpointSnapshotReusesOneStore(t *testing.T) {
+	const users, dim = 2000, 50
+	r := rng.New(21)
+	corpus := &Corpus{ContextFreq: make([]int64, users)}
+	for i := 0; i < 50; i++ {
+		ctx := []int32{int32(r.Intn(users)), int32(r.Intn(users))}
+		for _, v := range ctx {
+			corpus.ContextFreq[v]++
+		}
+		corpus.Tuples = append(corpus.Tuples, Tuple{Center: int32(r.Intn(users)), Context: ctx})
+		corpus.NumPositives += int64(len(ctx))
+	}
+	allocated := func(every int) uint64 {
+		cfg := Config{Dim: dim, Iterations: 10, Seed: 3, Workers: 1, CheckpointEvery: every}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := TrainOnCorpus(users, corpus, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	storeBytes := uint64(users) * (2*dim + 2) * 4
+	without, with := allocated(0), allocated(1)
+	t.Logf("allocated %d bytes without checkpoints, %d with one per epoch (store %d bytes)", without, with, storeBytes)
+	if with > without+2*storeBytes {
+		t.Errorf("ten in-memory checkpoints allocated %d bytes more than none, want under two stores (%d bytes)",
+			with-without, 2*storeBytes)
+	}
+}

@@ -141,7 +141,9 @@ func randomTuples(r *rng.RNG, users int32, n, contextLen int) []Tuple {
 // TestBlockStepMatchesPerExample pins the block step to the per-example
 // reference bit for bit — store bytes, every pass's loss, example and skip
 // counts, and the worker stream — across negative counts, dimensions that
-// do and do not fill the kernels' windows, and biases on and off. Against
+// do and do not fill the kernels' windows (K = 5 runs only the assembly
+// kernels' tails, K = 13 a full 8-wide step and a tail of 5), and biases
+// on and off. Against
 // the reference with the exact loss, the store bytes must still match and
 // each pass's mean loss per positive must lie within 1e-3 (see tol for the
 // saturating universe): the table moves only the loss estimate, never a
@@ -164,7 +166,7 @@ func TestBlockStepMatchesPerExample(t *testing.T) {
 	}
 	for _, uv := range universes {
 		for _, negatives := range []int{1, 2, 5, 8} {
-			for _, dim := range []int{8, 50, 64} {
+			for _, dim := range []int{5, 8, 13, 50, 64} {
 				for _, biases := range []bool{true, false} {
 					name := fmt.Sprintf("%s/neg=%d/K=%d/biases=%t", uv.name, negatives, dim, biases)
 					t.Run(name, func(t *testing.T) {

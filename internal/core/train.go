@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"inf2vec/internal/actionlog"
@@ -223,6 +224,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 	lrScale := 1.0             // divergence-recovery multiplier on the step size
 	retries := 0               // divergence recoveries consumed
 	var snap *checkpoint.State // in-memory mirror of the last checkpoint
+	var snapStore *embed.Store // snap's copy of the store, reused by every sync
 
 	if resume != nil {
 		if resume.Store == nil || resume.Store.NumUsers() != numUsers || resume.Store.Dim() != cfg.Dim {
@@ -247,8 +249,9 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		for i := range resume.EpochLoss {
 			res.Epochs = append(res.Epochs, EpochStat{Loss: resume.EpochLoss[i], Duration: time.Duration(resume.EpochNanos[i])})
 		}
+		snapStore = store.Clone()
 		snap = resume
-		snap.Store = store.Clone()
+		snap.Store = snapStore
 	}
 	cfg.emit(trainer.Event{
 		Kind: trainer.EventTrainStart, Epoch: epoch + 1, Epochs: cfg.Iterations,
@@ -260,7 +263,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 
 	// capture assembles the current training state; the store is shared, so
 	// callers writing to disk can stream it and callers keeping a rollback
-	// snapshot clone it.
+	// snapshot copy it.
 	capture := func() *checkpoint.State {
 		st := &checkpoint.State{
 			ConfigHash: cfgHash,
@@ -285,7 +288,9 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		return st
 	}
 	// sync writes a durable checkpoint (when configured) and refreshes the
-	// in-memory rollback snapshot. Only called at healthy epoch boundaries.
+	// in-memory rollback snapshot, copying the store into snapStore, which
+	// only the snapshot it replaces referenced. Only called at healthy epoch
+	// boundaries.
 	sync := func() error {
 		st := capture()
 		if cfg.CheckpointPath != "" {
@@ -297,7 +302,12 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			}
 			cfg.emit(trainer.Event{Kind: trainer.EventCheckpointWritten, Epoch: epoch, CheckpointPath: cfg.CheckpointPath})
 		}
-		st.Store = store.Clone()
+		if snapStore == nil {
+			snapStore = store.Clone()
+		} else {
+			snapStore.CopyFrom(store)
+		}
+		st.Store = snapStore
 		snap = st
 		return nil
 	}
@@ -484,13 +494,19 @@ func sgnsObjective(store *embed.Store, tuples []Tuple, neg *rng.UnigramTable, cf
 			for _, v := range t.Context {
 				// The draws read no parameters, so drawing every negative
 				// before any update consumes the stream in the same order
-				// as drawing each one just before its own update.
+				// as drawing each one just before its own update. A
+				// negative that repeats an earlier one ends the first
+				// sub-block; the positive is never drawn again.
 				b.targets = append(b.targets[:0], v)
+				b.split = 0
 				for s := 0; s < negatives; s++ {
 					w, ok := sampleNegative(neg, r, u, v)
 					if !ok {
 						tot.Skips++
 						continue
+					}
+					if b.split == 0 && slices.Contains(b.targets[1:], w) {
+						b.split = len(b.targets)
 					}
 					b.targets = append(b.targets, w)
 				}
@@ -510,6 +526,7 @@ type sgnsBlock struct {
 	biases bool
 
 	targets []int32     // the positive first, then the negatives drawn
+	split   int         // index of the first negative repeating an earlier one, or 0 if none
 	rows    [][]float32 // T rows of the current sub-block
 	z, g    []float32   // per-row logit without biases, and gradient coefficient
 	srcGrad []float32   // S_u gradient, accumulated over the whole block
@@ -535,19 +552,28 @@ func newSGNSBlock(store *embed.Store, negatives int, gamma float32, biases bool)
 //
 //   - S_u is read by every logit and every T update, and updated once at the
 //     end by the accumulated gradient, exactly as per example;
-//   - each logit adds the running b_u, updated in example order;
+//   - each logit adds the running b_u, updated in example order; it is kept
+//     in a local and stored once at the end, since no target bias aliases it
+//     (biasS and biasT are separate arrays);
 //   - within a sub-block the T rows are distinct, so computing all logits
 //     first (vecmath.DotRows) and then sweeping all updates coordinate by
 //     coordinate (vecmath.AxpyRows) reorders only independent operations.
 //
 // A target that repeats one already in the sub-block starts a new
 // sub-block, so its logit reads the earlier update of its T row and bias.
+// The first sub-block ends at split, found as the negatives were drawn;
+// subBlockEnd finds where each later one ends.
 func (b *sgnsBlock) step(u int32, loss *float64) {
 	su := b.store.SourceVec(u)
-	bu := b.store.BiasSource(u)
-	vecmath.Zero(b.srcGrad)
+	biasU := b.store.BiasSource(u)
+	bu := *biasU
 	for lo := 0; lo < len(b.targets); {
-		hi := subBlockEnd(b.targets, lo)
+		hi := len(b.targets)
+		if lo > 0 {
+			hi = subBlockEnd(b.targets, lo)
+		} else if b.split > 0 {
+			hi = b.split
+		}
 		targets := b.targets[lo:hi]
 		rows, z, g := b.rows[:len(targets)], b.z[:len(targets)], b.g[:len(targets)]
 		for k, x := range targets {
@@ -561,12 +587,12 @@ func (b *sgnsBlock) step(u int32, loss *float64) {
 			}
 			zk := z[k]
 			if b.biases {
-				zk += *bu + *b.store.BiasTarget(x)
+				zk += bu + *b.store.BiasTarget(x)
 			}
 			gk := (label - vecmath.FastSigmoid(zk)) * b.gamma
 			g[k] = gk
 			if b.biases {
-				*bu += gk
+				bu += gk
 				*b.store.BiasTarget(x) += gk
 			}
 			if label == 1 {
@@ -575,19 +601,20 @@ func (b *sgnsBlock) step(u int32, loss *float64) {
 				*loss += float64(vecmath.FastLogSigmoid(-zk))
 			}
 		}
-		vecmath.AxpyRows(g, rows, su, b.srcGrad, hi == len(b.targets))
+		// The first sub-block starts the S_u gradient from zero, the last
+		// applies it.
+		vecmath.AxpyRows(g, rows, su, b.srcGrad, lo == 0, hi == len(b.targets))
 		lo = hi
 	}
+	*biasU = bu
 }
 
 // subBlockEnd returns the end of the sub-block that starts at lo: the index
 // of the first target repeating one in targets[lo:hi], or len(targets).
 func subBlockEnd(targets []int32, lo int) int {
 	for hi := lo + 1; hi < len(targets); hi++ {
-		for _, t := range targets[lo:hi] {
-			if t == targets[hi] {
-				return hi
-			}
+		if slices.Contains(targets[lo:hi], targets[hi]) {
+			return hi
 		}
 	}
 	return len(targets)

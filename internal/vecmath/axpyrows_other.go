@@ -2,8 +2,16 @@
 
 package vecmath
 
-// axpy6 is AxpyRows' sweep over six rows: the Go kernel on this
-// architecture.
-func axpy6(c0, c1, c2, c3, c4, c5 float32, r0, r1, r2, r3, r4, r5, x, acc []float32, apply bool) {
-	axpy6Rows(c0, c1, c2, c3, c4, c5, r0, r1, r2, r3, r4, r5, x, acc, apply)
+// hasAVX is false off amd64: DotRows and AxpyRows run the Go kernels, and
+// the compiler drops the branches that would call the assembly.
+const hasAVX = false
+
+// dot6RowsAVX and axpy6RowsAVX exist in assembly only on amd64; with
+// hasAVX constant false they are never called here.
+func dot6RowsAVX(x *float32, rows *[]float32, out *float32, n int) {
+	panic("vecmath: no assembly kernel on this GOARCH")
+}
+
+func axpy6RowsAVX(c *float32, rows *[]float32, x, acc *float32, n int, zero, apply bool) {
+	panic("vecmath: no assembly kernel on this GOARCH")
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -120,6 +121,49 @@ func TestAssemblyKernelsFMAFree(t *testing.T) {
 						t.Errorf("%s:%d: fused instruction %s", file, i+1, field)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAssemblyKernelsVEXOnly fails on any legacy-SSE instruction in this
+// package's assembly (an instruction naming an X or Y register whose
+// mnemonic does not start with V), and on a RET that does not follow a
+// VZEROUPPER in a function that uses a Y register. Each switch between
+// legacy SSE and 256-bit code costs a state transition: a prototype update
+// sweep with a legacy-SSE tail ran slower than the Go loop.
+func TestAssemblyKernelsVEXOnly(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found (%v)", err)
+	}
+	vecReg, ymm := regexp.MustCompile(`\b[XY][0-9]+\b`), regexp.MustCompile(`\bY[0-9]+\b`)
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, usesY, prev := "", false, ""
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if strings.HasPrefix(strings.TrimSpace(code), "#") {
+				continue // #include, or a #define's name and parameters
+			}
+			for _, ins := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), "\\"), ";") {
+				f := strings.Fields(ins)
+				if len(f) == 0 || strings.HasSuffix(f[0], ":") {
+					continue
+				}
+				switch {
+				case f[0] == "TEXT":
+					fn, usesY = f[1], false
+				case f[0] == "RET" && usesY && prev != "VZEROUPPER":
+					t.Errorf("%s:%d: %s returns without VZEROUPPER", file, i+1, fn)
+				case vecReg.MatchString(ins) && !strings.HasPrefix(f[0], "V") && !strings.Contains(f[0], "("):
+					t.Errorf("%s:%d: legacy-SSE instruction %s", file, i+1, f[0])
+				}
+				usesY = usesY || ymm.MatchString(ins)
+				prev = f[0]
 			}
 		}
 	}

@@ -38,19 +38,29 @@ package vecmath
 //     cross-compiles the package for arm64 and fails on any fused op in a
 //     serial kernel.
 //
-// One serial kernel also has an assembly form. The update sweep of
-// AxpyRows runs axpy6RowsAVX (axpyrows_amd64.s) on amd64 when the CPU has
-// AVX and the OS saves the YMM registers: CPUID leaf 1 and XCR0, checked
-// once at init into hasAVX. Its lanes are coordinates: each of the 8 lanes
-// performs the Go loop's operations on one coordinate, in the same order,
-// with a separate VMULPS and VADDPS for every product and sum (no FMA).
-// Every result that is not NaN is bit-identical to axpy6Rows', and a
-// result is NaN exactly where axpy6Rows' is; only a NaN's sign and payload
-// can differ, since x86 takes them from the first NaN operand and gc does
-// not order the operands the same way for every row. Without AVX, and on
-// every other GOARCH, the Go axpy6Rows runs; it is the reference of
-// TestAxpy6RowsAVXMatchesGo, and TestAssemblyKernelsFMAFree fails on any
-// x86 fused op in the package's assembly.
+// Both six-row sweeps of the SGD block step also have an assembly form
+// (axpyrows_amd64.s), which DotRows and AxpyRows call directly on amd64
+// when the CPU has AVX and the OS saves the YMM registers: CPUID leaf 1
+// and XCR0, checked once at init into hasAVX. Each uses only AVX1
+// instructions, a separate VMULPS and VADDPS for every product and sum (no
+// FMA), and ends in VZEROUPPER.
+//
+//   - dot6RowsAVX, the forward sweep, makes each lane a row. It transposes
+//     8 coordinates of the six rows into 8 columns and adds each column's
+//     product with x in ascending coordinate order, so every lane sums
+//     exactly dot6Serial's chain for its row.
+//   - axpy6RowsAVX, the update sweep, makes each lane a coordinate, which
+//     performs the Go loop's operations on it in the same order.
+//
+// Every result that is not NaN is bit-identical to the Go kernel's, and a
+// result is NaN exactly where the Go kernel's is; only a NaN's sign and
+// payload can differ, since x86 takes them from the first NaN operand and
+// gc does not order the operands the same way for every row. Without AVX,
+// and on every other GOARCH (where hasAVX is the constant false), the Go
+// dot6Serial and axpy6Rows run; they are the references of
+// TestDot6RowsAVXMatchesGo and TestAxpy6RowsAVXMatchesGo, and
+// TestAssemblyKernelsFMAFree fails on any x86 fused op in the package's
+// assembly.
 //
 // The guard test TestKernelsBoundsCheckFree (and the CI leg that runs it)
 // compiles this package with -d=ssa/check_bce and diffs the remaining checks
@@ -224,14 +234,23 @@ const rowGroup = 6
 // in ascending index order, bit-identical to DotSigmoid's z. It is the
 // forward sweep of the SGD block step: one positive and its negatives
 // against the same S_u row. Interleaving the rows' independent chains
-// changes no chain's result. It panics if len(out) != len(rows) or a row's
-// length differs from len(x).
+// changes no chain's result. Six-row groups run dot6RowsAVX where the CPU
+// has AVX and dot6Serial otherwise. It panics if len(out) != len(rows) or a
+// row's length differs from len(x).
 func DotRows(x []float32, rows [][]float32, out []float32) {
 	if len(out) != len(rows) {
 		panic("vecmath: DotRows length mismatch")
 	}
 	for len(rows) >= rowGroup && len(out) >= rowGroup {
-		out[0], out[1], out[2], out[3], out[4], out[5] = dot6Serial(x, rows[0], rows[1], rows[2], rows[3], rows[4], rows[5])
+		if hasAVX && len(x) > 0 {
+			if len(rows[0]) != len(x) || len(rows[1]) != len(x) || len(rows[2]) != len(x) ||
+				len(rows[3]) != len(x) || len(rows[4]) != len(x) || len(rows[5]) != len(x) {
+				panic("vecmath: DotRows length mismatch")
+			}
+			dot6RowsAVX(&x[0], &rows[0], &out[0], len(x))
+		} else {
+			out[0], out[1], out[2], out[3], out[4], out[5] = dot6Serial(x, rows[0], rows[1], rows[2], rows[3], rows[4], rows[5])
+		}
 		rows, out = rows[rowGroup:], out[rowGroup:]
 	}
 	if len(out) >= len(rows) {
@@ -261,32 +280,48 @@ func dot6Serial(x, r0, r1, r2, r3, r4, r5 []float32) (s0, s1, s2, s3, s4, s5 flo
 	return s0, s1, s2, s3, s4, s5
 }
 
-// AxpyRows is the update sweep of the SGD block step. For each coordinate i,
-// and for each row k in order, it performs
+// AxpyRows is the update sweep of the SGD block step. If zero is set, acc
+// is first taken as all zeros, whatever it holds. Then, for each coordinate
+// i, and for each row k in order, it performs
 //
 //	acc[i]     += g[k]*rows[k][i]   (the S_u gradient, reading T_k before its update)
 //	rows[k][i] += g[k]*x[i]         (the T_k update, reading S_u)
 //
 // and then, if apply is set, x[i] += acc[i]. Each element therefore sees
-// exactly the operations, in exactly the order, of calling
-// AxpyTwo(g[k], rows[k], acc, x, rows[k]) for k = 0, 1, ... and then
-// Axpy(1, acc, x) if apply is set, but acc and x are read and written once
-// per group of rows instead of once per row. The rows must be distinct and
-// must not alias x or acc; x and acc must not alias. It panics if
-// len(g) != len(rows) or any length differs from len(x).
-func AxpyRows(g []float32, rows [][]float32, x, acc []float32, apply bool) {
+// exactly the operations, in exactly the order, of calling Zero(acc) if
+// zero is set, AxpyTwo(g[k], rows[k], acc, x, rows[k]) for k = 0, 1, ...
+// and then Axpy(1, acc, x) if apply is set, but acc and x are read and
+// written once per group of rows instead of once per row. Six-row groups
+// run axpy6RowsAVX where the CPU has AVX, which starts a zeroed acc in a
+// register, and axpy6Rows otherwise. The rows must be distinct and must not
+// alias x or acc; x and acc must not alias. It panics if len(g) !=
+// len(rows) or any length differs from len(x).
+func AxpyRows(g []float32, rows [][]float32, x, acc []float32, zero, apply bool) {
 	if len(g) != len(rows) {
 		panic("vecmath: AxpyRows length mismatch")
+	}
+	if zero && (!hasAVX || len(rows) < rowGroup) {
+		Zero(acc)
+		zero = false
 	}
 	for len(rows) >= rowGroup && len(g) >= rowGroup {
 		// x takes the gradient in the sweep of the last group only.
 		last := len(rows) == rowGroup
-		axpy6(g[0], g[1], g[2], g[3], g[4], g[5],
-			rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], x, acc, apply && last)
+		if hasAVX && len(x) > 0 {
+			if len(acc) != len(x) || len(rows[0]) != len(x) || len(rows[1]) != len(x) || len(rows[2]) != len(x) ||
+				len(rows[3]) != len(x) || len(rows[4]) != len(x) || len(rows[5]) != len(x) {
+				panic("vecmath: AxpyRows length mismatch")
+			}
+			axpy6RowsAVX(&g[0], &rows[0], &x[0], &acc[0], len(x), zero, apply && last)
+		} else {
+			axpy6Rows(g[0], g[1], g[2], g[3], g[4], g[5],
+				rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], x, acc, apply && last)
+		}
 		if last {
 			return
 		}
 		rows, g = rows[rowGroup:], g[rowGroup:]
+		zero = false
 	}
 	if len(g) >= len(rows) {
 		for k, r := range rows {

@@ -199,47 +199,52 @@ func TestDotRowsBitwiseSerial(t *testing.T) {
 }
 
 // TestAxpyRowsBitwiseSequential pins the coordinate-major AxpyRows against
-// the row-by-row sequence it replaces: for each row in order, the gradient
-// accumulation acc += g·row followed by the row update row += g·x, and with
-// apply set, x += acc once at the end.
+// the row-by-row sequence it replaces: with zero set, acc zeroed first; for
+// each row in order, the gradient accumulation acc += g·row followed by the
+// row update row += g·x; and with apply set, x += acc once at the end.
 func TestAxpyRowsBitwiseSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range tailLengths {
 		for rowCount := 0; rowCount <= 13; rowCount++ {
-			for _, apply := range []bool{false, true} {
-				x := randVec(rng, n, 3)
-				acc := randVec(rng, n, 3)
-				rows := rowsOf(rng, rowCount, n)
-				g := randVec(rng, rowCount, 1)
+			for _, zero := range []bool{false, true} {
+				for _, apply := range []bool{false, true} {
+					x := randVec(rng, n, 3)
+					acc := randVec(rng, n, 3)
+					rows := rowsOf(rng, rowCount, n)
+					g := randVec(rng, rowCount, 1)
 
-				wantX := append([]float32(nil), x...)
-				wantAcc := append([]float32(nil), acc...)
-				wantRows := make([][]float32, rowCount)
-				for k, r := range rows {
-					wantRows[k] = append([]float32(nil), r...)
-					scalarAxpy(g[k], wantRows[k], wantAcc)
-					scalarAxpy(g[k], wantX, wantRows[k])
-				}
-				if apply {
-					scalarAxpy(1, wantAcc, wantX)
-				}
+					wantX := append([]float32(nil), x...)
+					wantAcc := append([]float32(nil), acc...)
+					if zero {
+						Zero(wantAcc)
+					}
+					wantRows := make([][]float32, rowCount)
+					for k, r := range rows {
+						wantRows[k] = append([]float32(nil), r...)
+						scalarAxpy(g[k], wantRows[k], wantAcc)
+						scalarAxpy(g[k], wantX, wantRows[k])
+					}
+					if apply {
+						scalarAxpy(1, wantAcc, wantX)
+					}
 
-				AxpyRows(g, rows, x, acc, apply)
-				for i := range acc {
-					if math.Float32bits(acc[i]) != math.Float32bits(wantAcc[i]) {
-						t.Fatalf("n=%d rows=%d apply=%v: acc[%d] = %x, want %x", n, rowCount, apply, i,
-							math.Float32bits(acc[i]), math.Float32bits(wantAcc[i]))
+					AxpyRows(g, rows, x, acc, zero, apply)
+					for i := range acc {
+						if math.Float32bits(acc[i]) != math.Float32bits(wantAcc[i]) {
+							t.Fatalf("n=%d rows=%d zero=%v apply=%v: acc[%d] = %x, want %x", n, rowCount, zero, apply, i,
+								math.Float32bits(acc[i]), math.Float32bits(wantAcc[i]))
+						}
+						if math.Float32bits(x[i]) != math.Float32bits(wantX[i]) {
+							t.Fatalf("n=%d rows=%d zero=%v apply=%v: x[%d] = %x, want %x", n, rowCount, zero, apply, i,
+								math.Float32bits(x[i]), math.Float32bits(wantX[i]))
+						}
 					}
-					if math.Float32bits(x[i]) != math.Float32bits(wantX[i]) {
-						t.Fatalf("n=%d rows=%d apply=%v: x[%d] = %x, want %x", n, rowCount, apply, i,
-							math.Float32bits(x[i]), math.Float32bits(wantX[i]))
-					}
-				}
-				for k := range rows {
-					for i := range rows[k] {
-						if math.Float32bits(rows[k][i]) != math.Float32bits(wantRows[k][i]) {
-							t.Fatalf("n=%d rows=%d apply=%v: rows[%d][%d] = %x, want %x", n, rowCount, apply, k, i,
-								math.Float32bits(rows[k][i]), math.Float32bits(wantRows[k][i]))
+					for k := range rows {
+						for i := range rows[k] {
+							if math.Float32bits(rows[k][i]) != math.Float32bits(wantRows[k][i]) {
+								t.Fatalf("n=%d rows=%d zero=%v apply=%v: rows[%d][%d] = %x, want %x", n, rowCount, zero, apply, k, i,
+									math.Float32bits(rows[k][i]), math.Float32bits(wantRows[k][i]))
+							}
 						}
 					}
 				}
@@ -267,39 +272,52 @@ func benchBlocks() (rows [][]float32, blocks [][rowGroup]int) {
 }
 
 // BenchmarkAxpyRows times the six-row update sweep at K=50: the Go kernel
-// and the kernel AxpyRows selects at start-up (assembly where the CPU has
-// AVX), on the same blocks.
+// and AxpyRows, which runs the kernel it selects at start-up (assembly
+// where the CPU has AVX), on the same blocks.
 func BenchmarkAxpyRows(b *testing.B) {
 	m, blocks := benchBlocks()
 	rng := rand.New(rand.NewSource(13))
 	x, acc, g := randVec(rng, len(m[0]), 1), make([]float32, len(m[0])), randVec(rng, rowGroup, 1e-3)
-	for _, k := range []struct {
-		name  string
-		sweep func(c0, c1, c2, c3, c4, c5 float32, r0, r1, r2, r3, r4, r5, x, acc []float32, apply bool)
-	}{{"go", axpy6Rows}, {"selected", axpy6}} {
-		b.Run(k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := &blocks[i%len(blocks)]
-				k.sweep(g[0], g[1], g[2], g[3], g[4], g[5],
-					m[r[0]], m[r[1]], m[r[2]], m[r[3]], m[r[4]], m[r[5]], x, acc, false)
+	rows := make([][]float32, rowGroup)
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r := &blocks[i%len(blocks)]
+			axpy6Rows(g[0], g[1], g[2], g[3], g[4], g[5],
+				m[r[0]], m[r[1]], m[r[2]], m[r[3]], m[r[4]], m[r[5]], x, acc, false)
+		}
+	})
+	b.Run("selected", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, r := range blocks[i%len(blocks)] {
+				rows[k] = m[r]
 			}
-		})
-	}
+			AxpyRows(g, rows, x, acc, false, false)
+		}
+	})
 }
 
 // BenchmarkDotRows times the six-row forward sweep at K=50 on the blocks
-// BenchmarkAxpyRows uses. It has only the Go kernel.
+// BenchmarkAxpyRows uses: the Go kernel and DotRows, which runs the kernel
+// it selects at start-up (assembly where the CPU has AVX).
 func BenchmarkDotRows(b *testing.B) {
 	m, blocks := benchBlocks()
 	x := randVec(rand.New(rand.NewSource(13)), len(m[0]), 1)
 	rows, out := make([][]float32, rowGroup), make([]float32, rowGroup)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, r := range blocks[i%len(blocks)] {
-			rows[k] = m[r]
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r := &blocks[i%len(blocks)]
+			out[0], out[1], out[2], out[3], out[4], out[5] = dot6Serial(x,
+				m[r[0]], m[r[1]], m[r[2]], m[r[3]], m[r[4]], m[r[5]])
 		}
-		DotRows(x, rows, out)
-	}
+	})
+	b.Run("selected", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, r := range blocks[i%len(blocks)] {
+				rows[k] = m[r]
+			}
+			DotRows(x, rows, out)
+		}
+	})
 }
 
 func TestSquaredDistanceMatchesScalar(t *testing.T) {
@@ -355,12 +373,15 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 	mustPanic("DotRows out", func() { DotRows(one, [][]float32{one}, two) })
 	mustPanic("DotRows row", func() { DotRows(one, [][]float32{one, one, one, one, one, two}, make([]float32, 6)) })
 	mustPanic("DotRows tail row", func() { DotRows(one, [][]float32{two}, one) })
-	mustPanic("AxpyRows g", func() { AxpyRows(two, [][]float32{one}, one, one, false) })
+	mustPanic("AxpyRows g", func() { AxpyRows(two, [][]float32{one}, one, one, false, false) })
 	mustPanic("AxpyRows row", func() {
-		AxpyRows(make([]float32, 6), [][]float32{one, two, one, one, one, one}, one, one, false)
+		AxpyRows(make([]float32, 6), [][]float32{one, two, one, one, one, one}, one, one, false, false)
 	})
-	mustPanic("AxpyRows tail row", func() { AxpyRows(one, [][]float32{two}, one, one, false) })
-	mustPanic("AxpyRows acc", func() { AxpyRows(one, [][]float32{one}, one, two, true) })
+	mustPanic("AxpyRows tail row", func() { AxpyRows(one, [][]float32{two}, one, one, false, false) })
+	mustPanic("AxpyRows acc", func() { AxpyRows(one, [][]float32{one}, one, two, false, true) })
+	mustPanic("AxpyRows group acc", func() {
+		AxpyRows(make([]float32, 6), [][]float32{one, one, one, one, one, one}, one, two, true, false)
+	})
 	mustPanic("SquaredDistance", func() { SquaredDistance(one, two) })
 	mustPanic("Int8Dot", func() { Int8Dot([]int8{1}, []int8{1, 2}) })
 	mustPanic("QuantizeRow", func() { QuantizeRow(one, []int8{1, 2}) })

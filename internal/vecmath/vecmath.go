@@ -9,9 +9,10 @@
 // otherwise. Exact float64 variants are also provided for evaluation code,
 // where accuracy matters more than speed.
 //
-// The kernels are Go, except that the update sweep of the SGD block step
-// (AxpyRows) runs in AVX assembly on amd64 CPUs that support it, with lanes
-// as coordinates and bit-identical results; the comment at the top of
+// The kernels are Go, except that both sweeps of the SGD block step run in
+// AVX assembly on amd64 CPUs that support it, with bit-identical results:
+// the forward sweep (DotRows) with rows as lanes and the update sweep
+// (AxpyRows) with coordinates as lanes. The comment at the top of
 // kernels.go states the bitwise contracts and the CPU check.
 package vecmath
 
