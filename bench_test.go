@@ -409,31 +409,6 @@ func BenchmarkAblationHighOrder(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationParallelTraining(b *testing.B) {
-	ds, err := ablationWorld()
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, _, _, err := ds.Log.Split(3, 0.8, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Train(ds.Graph, train, core.Config{
-					Dim: 24, ContextLength: 30, Alpha: 0.15,
-					LearningRate: 0.025, Iterations: 5, Seed: 5, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Epochs[len(res.Epochs)-1].Loss, "final-loss")
-			}
-		})
-	}
-}
-
 // BenchmarkCorpusGeneration measures the context-generation phase
 // (Algorithm 2 lines 3–8) at 1, 2 and GOMAXPROCS corpus workers on the
 // digg-like ablation world. The corpus is bitwise identical at every worker

@@ -32,7 +32,7 @@ func cmdExperiments(args []string) (err error) {
 	run := fs.String("run", "all", "comma-separated experiment list: table1..table6, fig1..fig3, fig6..fig9, seeds, or all")
 	quick := fs.Bool("quick", false, "reduced-scale run")
 	seed := fs.Uint64("seed", 1, "experiment seed")
-	workers := fs.Int("workers", 0, "training workers for Inf2vec and every baseline (0 = min(NumCPU, 8); any value yields the same models)")
+	workers := fs.Int("workers", 0, "training workers for the baselines (0 = min(NumCPU, 8); any value yields the same models)")
 	corpusWorkers := fs.Int("corpus-workers", 0, "corpus-generation workers (0 = GOMAXPROCS; any value yields the same corpus)")
 	svgDir := fs.String("svg", "", "directory for Figure 6 SVG panels (empty = skip)")
 	telemetryOut := fs.String("telemetry-out", "", "append one JSON training event per line to this file (all Inf2vec runs)")

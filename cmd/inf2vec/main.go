@@ -113,7 +113,6 @@ func cmdTrain(args []string) (err error) {
 	decay := fs.Bool("decay", false, "linearly decay the learning rate")
 	iters := fs.Int("iters", 10, "SGD passes")
 	neg := fs.Int("neg", 5, "negative samples per positive")
-	workers := fs.Int("workers", 1, "hogwild workers")
 	corpusWorkers := fs.Int("corpus-workers", 0, "corpus-generation workers (0 = GOMAXPROCS; any value yields the same corpus)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	ckptPath := fs.String("checkpoint", "", "checkpoint file for fault-tolerant training")
@@ -162,7 +161,7 @@ func cmdTrain(args []string) (err error) {
 	}
 	logger.Info("training", "version", obs.Version(),
 		"episodes", train.NumEpisodes(), "actions", train.NumActions(),
-		"users", g.NumNodes(), "workers", *workers, "iters", *iters)
+		"users", g.NumNodes(), "iters", *iters)
 
 	ctx, stop := signalContext()
 	defer stop()
@@ -174,7 +173,6 @@ func cmdTrain(args []string) (err error) {
 		DecayLearningRate: *decay,
 		Iterations:        *iters,
 		NegativeSamples:   *neg,
-		Workers:           *workers,
 		CorpusWorkers:     *corpusWorkers,
 		Seed:              *seed,
 		CheckpointPath:    *ckptPath,
@@ -186,7 +184,6 @@ func cmdTrain(args []string) (err error) {
 	tctx, root := tracer.StartRoot(ctx, "train")
 	root.SetAttr("episodes", train.NumEpisodes())
 	root.SetAttr("iters", *iters)
-	root.SetAttr("workers", *workers)
 	var model *inf2vec.Model
 	var stats *inf2vec.TrainStats
 	if *resume {

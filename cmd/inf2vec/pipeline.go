@@ -26,7 +26,7 @@ import (
 //	inf2vec pipeline -graph graph.tsv -log actions.tsv -model model.i2v
 //	                 [-cursor actions.tsv.offset] [-checkpoint model.i2v.ckpt]
 //	                 [-dim 50 -len 50 -alpha 0.1 -lr 0.005 -decay -iters 10 -neg 5
-//	                  -workers 1 -corpus-workers 0 -seed 1]
+//	                  -corpus-workers 0 -seed 1]
 //	                 [-poll 2s] [-once]
 //	                 [-serve-addr :8080 | -notify-pid PID]
 //	                 [-log-format text|json] [-log-level info] [-debug-addr :0]
@@ -60,7 +60,6 @@ func cmdPipeline(args []string) (err error) {
 	decay := fs.Bool("decay", false, "linearly decay the learning rate")
 	iters := fs.Int("iters", 10, "SGD passes per retraining round")
 	neg := fs.Int("neg", 5, "negative samples per positive")
-	workers := fs.Int("workers", 1, "hogwild workers (1 = deterministic republish)")
 	corpusWorkers := fs.Int("corpus-workers", 0, "corpus-generation workers (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 1, "random seed; keep fixed across restarts for incremental reuse")
 	poll := fs.Duration("poll", 2*time.Second, "how often to look for new actions")
@@ -118,7 +117,6 @@ func cmdPipeline(args []string) (err error) {
 			DecayLearningRate: *decay,
 			Iterations:        *iters,
 			NegativeSamples:   *neg,
-			Workers:           *workers,
 			CorpusWorkers:     *corpusWorkers,
 			Seed:              *seed,
 		},

@@ -181,9 +181,9 @@ func Train(g *Graph, log *ActionLog, cfg Config) (*Model, error) {
 }
 
 // TrainContext is Train under a cancellation context: cancellation is
-// observed between epochs and at shard boundaries inside each SGD pass, so
-// hogwild workers drain cleanly. On cancellation the best-so-far model is
-// returned (use TrainWithStatsContext to observe the Canceled flag).
+// observed between epochs and every 256 tuples inside each SGD pass. On
+// cancellation the best-so-far model is returned (use
+// TrainWithStatsContext to observe the Canceled flag).
 func TrainContext(ctx context.Context, g *Graph, log *ActionLog, cfg Config) (*Model, error) {
 	res, err := core.TrainContext(ctx, g, log, cfg)
 	if err != nil {
@@ -209,9 +209,9 @@ func TrainWithStatsContext(ctx context.Context, g *Graph, log *ActionLog, cfg Co
 
 // Resume continues a training run from the checkpoint at
 // cfg.CheckpointPath, written by a previous run with the same graph, log
-// and configuration. Single-worker resumed runs are bitwise identical to
-// uninterrupted ones. Resuming an already-finished run returns the final
-// model immediately.
+// and configuration. Resumed runs are bitwise identical to uninterrupted
+// ones. Resuming an already-finished run returns the final model
+// immediately.
 func Resume(ctx context.Context, g *Graph, log *ActionLog, cfg Config) (*Model, *TrainStats, error) {
 	res, err := core.Resume(ctx, g, log, cfg)
 	if err != nil {

@@ -79,6 +79,8 @@ type State struct {
 	// Recoveries is the divergence-recovery history.
 	Recoveries []Recovery
 	// Root, Order and Workers are the captured RNG states (xoshiro256**).
+	// Inf2vec's SGD pass has one stream, so it writes and accepts exactly
+	// one Workers entry; the format still records the count.
 	Root    [4]uint64
 	Order   [4]uint64
 	Workers [][4]uint64

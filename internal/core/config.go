@@ -25,7 +25,7 @@ import (
 
 // Config collects Inf2vec's hyperparameters. Zero values select the paper's
 // defaults (applied by withDefaults): K=50, L=50, α=0.1, restart 0.5,
-// γ=0.005, |N|=5, 10 iterations, uniform negative sampling, single worker.
+// γ=0.005, |N|=5, 10 iterations, uniform negative sampling.
 type Config struct {
 	// Dim is the embedding dimension K.
 	Dim int
@@ -69,16 +69,17 @@ type Config struct {
 	// influence pairs only — the setting of the paper's efficiency
 	// comparison ("without Algorithm 1") and of the citation case study.
 	FirstOrderOnly bool
-	// Workers is the number of hogwild SGD goroutines. 1 (the default) is
-	// fully deterministic given Seed.
+	// Workers is ignored: the SGD pass runs on the calling goroutine with
+	// one RNG stream, so a run is bitwise the same at any value. The field
+	// remains only because perfbench sets it; a negative value is still
+	// rejected.
 	Workers int
 	// CorpusWorkers is the number of goroutines that generate the
 	// influence-context corpus (Algorithm 2 lines 3–8). Every episode draws
 	// from its own RNG stream keyed on (Seed, episode index), so the corpus
-	// is bitwise identical at any worker count: unlike Workers this is a
-	// pure throughput knob, excluded from the checkpoint fingerprint, and
-	// may change freely between a checkpoint and its Resume. Zero selects
-	// GOMAXPROCS.
+	// is bitwise identical at any worker count: this is a pure throughput
+	// knob, excluded from the checkpoint fingerprint, and may change freely
+	// between a checkpoint and its Resume. Zero selects GOMAXPROCS.
 	CorpusWorkers int
 	// Seed drives every random choice (init, walks, sampling, shuffles).
 	Seed uint64
@@ -157,9 +158,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 10
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	if cfg.CorpusWorkers == 0 {
 		cfg.CorpusWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -211,13 +209,15 @@ const corpusStreamVersion = 2
 // changing where or how often to checkpoint does not change the run.
 // CorpusWorkers is likewise excluded — per-episode RNG streams make the
 // corpus bitwise identical at any corpus worker count — while the stream
-// derivation itself is versioned in.
+// derivation itself is versioned in. Workers is ignored too: the constant
+// workers=1 keeps the hash of every configuration that trained at one
+// worker, and every checkpoint it wrote, as it was.
 func (cfg Config) hash() uint64 {
-	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=%t firstorder=%t workers=%d seed=%d stream=%d",
+	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=%t firstorder=%t workers=1 seed=%d stream=%d",
 		cfg.Dim, cfg.ContextLength, cfg.Alpha, cfg.RestartRatio,
 		cfg.LearningRate, cfg.DecayLearningRate, cfg.NegativeSamples,
 		cfg.Iterations, cfg.NegativePower, cfg.DisableBiases,
-		cfg.RegenerateContexts, cfg.FirstOrderOnly, cfg.Workers, cfg.Seed,
+		cfg.RegenerateContexts, cfg.FirstOrderOnly, cfg.Seed,
 		corpusStreamVersion)
 	// Streaming-round identity is appended only when set, so the hash of
 	// every pre-existing configuration — and every checkpoint written under

@@ -12,7 +12,7 @@ func TestWithDefaults(t *testing.T) {
 	}
 	if cfg.Dim != 50 || cfg.ContextLength != 50 || cfg.Alpha != 0.1 ||
 		cfg.RestartRatio != 0.5 || cfg.LearningRate != 0.005 ||
-		cfg.NegativeSamples != 5 || cfg.Iterations != 10 || cfg.Workers != 1 {
+		cfg.NegativeSamples != 5 || cfg.Iterations != 10 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }
@@ -30,22 +30,29 @@ func TestExplicitZeroAlphaKept(t *testing.T) {
 // TestHashIgnoresCorpusWorkers pins the fingerprint contract that lets a
 // checkpoint written at one -corpus-workers value resume at another: the
 // corpus is bitwise identical at any worker count, so the knob must not
-// invalidate checkpoints. SGD Workers, by contrast, change the training
-// trajectory and must change the hash.
+// invalidate checkpoints. Config.Workers selects nothing, so it must not
+// change the hash either, and the hash is the one a run at one worker
+// always had (0x8ec6b66b360c8afa for this configuration), so checkpoints
+// written at one worker still resume.
 func TestHashIgnoresCorpusWorkers(t *testing.T) {
 	base, err := Config{Seed: 9}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := base.hash(); got != 0x8ec6b66b360c8afa {
+		t.Errorf("fingerprint = %#x, want the one-worker value 0x8ec6b66b360c8afa", got)
 	}
 	alt := base
 	alt.CorpusWorkers = 13
 	if base.hash() != alt.hash() {
 		t.Error("CorpusWorkers changed the config fingerprint")
 	}
-	sgd := base
-	sgd.Workers = base.Workers + 1
-	if base.hash() == sgd.hash() {
-		t.Error("SGD Workers did not change the config fingerprint")
+	for _, workers := range []int{1, 2, 8} {
+		sgd := base
+		sgd.Workers = workers
+		if base.hash() != sgd.hash() {
+			t.Errorf("SGD Workers %d changed the config fingerprint", workers)
+		}
 	}
 }
 

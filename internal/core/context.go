@@ -121,15 +121,11 @@ func CorpusFromPairs(numUsers int32, pairs []diffusion.Pair) *Corpus {
 
 // corpusGenWorkers resolves the effective corpus-generation worker count:
 // the configured value (GOMAXPROCS when unset), clamped to the episode
-// count, and — like the SGD workers — forced sequential under the race
-// detector so the two parallel phases follow one rule.
+// count.
 func corpusGenWorkers(cfg Config, numEpisodes int) int {
 	workers := cfg.CorpusWorkers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if trainer.RaceEnabled() {
-		workers = 1
 	}
 	if workers > numEpisodes {
 		workers = numEpisodes

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"inf2vec/internal/actionlog"
-	"inf2vec/internal/checkpoint"
 	"inf2vec/internal/embed"
 	"inf2vec/internal/graph"
 	"inf2vec/internal/rng"
-	"inf2vec/internal/trainer"
 )
 
 // corpusWorld builds a random-ish multi-episode dataset with enough episodes
@@ -199,74 +197,5 @@ func TestResumeAcrossCorpusWorkers(t *testing.T) {
 				t.Fatalf("regen=%t: epoch %d loss %v vs resumed %v", regen, i, ref.Epochs[i].Loss, resumed.Epochs[i].Loss)
 			}
 		}
-	}
-}
-
-// TestWorkerStreamCountStable pins the makeWorkerRNGs fix: the checkpoint
-// carries one stream per *configured* worker, not per tuple of whatever
-// corpus happened to be first — a corpus smaller than the worker count no
-// longer shrinks the stream set that later (larger) regenerated corpora
-// train under.
-func TestWorkerStreamCountStable(t *testing.T) {
-	g, l := chainData(t, 1) // 3 tuples, fewer than the configured workers
-	path := filepath.Join(t.TempDir(), "small.ckpt")
-	cfg := Config{
-		Dim: 4, Iterations: 2, Seed: 5, Workers: 8, ContextLength: 6,
-		CheckpointPath: path, CheckpointEvery: 1,
-	}
-	if _, err := Train(g, l, cfg); err != nil {
-		t.Fatal(err)
-	}
-	st, err := checkpoint.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 8
-	if trainer.RaceEnabled() {
-		want = 1
-	}
-	if len(st.Workers) != want {
-		t.Fatalf("checkpoint has %d worker streams, want %d", len(st.Workers), want)
-	}
-}
-
-// TestRunEpochClampsWorkersToCorpus drives a hogwild pass directly with
-// more worker generators than tuples: the pass must process every positive
-// exactly once rather than panic or double-count on empty shards.
-func TestRunEpochClampsWorkersToCorpus(t *testing.T) {
-	store, err := embed.New(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := rng.New(1)
-	store.Init(root.Split())
-	tuples := []Tuple{
-		{Center: 0, Context: []int32{1, 2}},
-		{Center: 1, Context: []int32{3}},
-	}
-	neg, err := rng.NewUnigramTable([]int64{1, 1, 1, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mustCfg(t, Config{Dim: 4})
-	// Honor the production invariant that hogwild runs single-threaded under
-	// the race detector (makeWorkerRNGs never hands the engine more than one
-	// stream there); the clamp itself is exercised on the regular test leg.
-	streams := 8
-	if trainer.RaceEnabled() {
-		streams = 1
-	}
-	rngs := make([]*rng.RNG, streams)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	pass := trainer.HogwildPass{
-		Order:     []int{0, 1},
-		RNGs:      rngs,
-		Objective: sgnsObjective(store, tuples, neg, cfg, 0.01),
-	}
-	totals := pass.Run(nil)
-	if totals.Examples != 3 {
-		t.Fatalf("positives = %d, want 3", totals.Examples)
 	}
 }

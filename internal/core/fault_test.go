@@ -281,9 +281,9 @@ func TestDivergenceDetectionDisabled(t *testing.T) {
 	}
 }
 
-// TestCancellationSemantics cancels mid-training (hogwild workers active)
-// and asserts the returned model is usable, Epochs is consistent with the
-// completed passes, and no worker goroutines leak.
+// TestCancellationSemantics cancels mid-training and asserts the returned
+// model is usable, Epochs is consistent with the completed passes, and no
+// worker goroutines leak.
 func TestCancellationSemantics(t *testing.T) {
 	g, l := faultData(t, 60)
 	cfg := Config{Dim: 8, Iterations: 50, Seed: 13, ContextLength: 10, Workers: 4}

@@ -22,40 +22,40 @@ var (
 	exactLoss lossFunc = func(z float32) float64 { return vecmath.LogSigmoid(float64(z)) }
 )
 
-// objectiveBuilder builds one pass's objective; sgnsObjective is one.
-type objectiveBuilder func(*embed.Store, []Tuple, *rng.UnigramTable, Config, float32) trainer.HogwildObjective
+// passFunc runs one SGD pass over tuples in order; sgdPass is one.
+type passFunc func(done <-chan struct{}, store *embed.Store, tuples []Tuple, order []int, neg *rng.UnigramTable, cfg Config, gamma float32, r *rng.RNG) trainer.Totals
 
-// referenceObjective is the per-example SGD sequence the block step
-// replaced: each positive, then each negative as it is drawn, goes through
+// referencePass is the per-example SGD sequence the block step replaced:
+// each positive, then each negative as it is drawn, goes through
 // applyExample on its own, and S_u takes the accumulated gradient once per
 // positive. It is the specification the block step must reproduce bit for
 // bit, and the code the golden stores were generated with. Each example's
 // loss term comes from loss.
-func referenceObjective(loss lossFunc) objectiveBuilder {
-	return func(store *embed.Store, tuples []Tuple, neg *rng.UnigramTable, cfg Config, gamma float32) trainer.HogwildObjective {
-		return func(r *rng.RNG) trainer.PassFunc {
-			srcGrad := make([]float32, store.Dim())
-			return func(ti int, tot *trainer.Totals) {
-				t := &tuples[ti]
-				u := t.Center
-				su := store.SourceVec(u)
-				bu := store.BiasSource(u)
-				for _, v := range t.Context {
-					vecmath.Zero(srcGrad)
-					tot.Loss += applyExample(store, su, bu, u, v, 1, gamma, srcGrad, cfg, loss)
-					tot.Examples++
-					for s := 0; s < cfg.NegativeSamples; s++ {
-						w, ok := sampleNegative(neg, r, u, v)
-						if !ok {
-							tot.Skips++
-							continue
-						}
-						tot.Loss += applyExample(store, su, bu, u, w, 0, gamma, srcGrad, cfg, loss)
+func referencePass(loss lossFunc) passFunc {
+	return func(_ <-chan struct{}, store *embed.Store, tuples []Tuple, order []int, neg *rng.UnigramTable, cfg Config, gamma float32, r *rng.RNG) trainer.Totals {
+		srcGrad := make([]float32, store.Dim())
+		var tot trainer.Totals
+		for _, ti := range order {
+			t := &tuples[ti]
+			u := t.Center
+			su := store.SourceVec(u)
+			bu := store.BiasSource(u)
+			for _, v := range t.Context {
+				vecmath.Zero(srcGrad)
+				tot.Loss += applyExample(store, su, bu, u, v, 1, gamma, srcGrad, cfg, loss)
+				tot.Examples++
+				for s := 0; s < cfg.NegativeSamples; s++ {
+					w, ok := sampleNegative(neg, r, u, v)
+					if !ok {
+						tot.Skips++
+						continue
 					}
-					vecmath.Axpy(1, srcGrad, su)
+					tot.Loss += applyExample(store, su, bu, u, w, 0, gamma, srcGrad, cfg, loss)
 				}
+				vecmath.Axpy(1, srcGrad, su)
 			}
 		}
+		return tot
 	}
 }
 
@@ -84,16 +84,16 @@ func applyExample(store *embed.Store, su []float32, bu *float32, u, x int32, lab
 	return loss(-z)
 }
 
-// sgnsRun is the outcome of training passes with one objective.
+// sgnsRun is the outcome of training passes with one pass function.
 type sgnsRun struct {
 	store  []byte
 	totals []trainer.Totals
 	rng    [4]uint64
 }
 
-// runSGNS initializes a store from a fixed seed and runs passes of the
-// objective built by build over tuples at one worker, shuffling each pass.
-func runSGNS(t *testing.T, build objectiveBuilder,
+// runSGNS initializes a store from a fixed seed and runs passes of pass
+// over tuples on one stream, shuffling each pass.
+func runSGNS(t *testing.T, pass passFunc,
 	users int32, tuples []Tuple, counts []int64, power float64, cfg Config, passes int) sgnsRun {
 	t.Helper()
 	store, err := embed.New(users, cfg.Dim)
@@ -108,12 +108,8 @@ func runSGNS(t *testing.T, build objectiveBuilder,
 	worker, order := rng.New(4), rng.New(5)
 	var run sgnsRun
 	for p := 0; p < passes; p++ {
-		pass := trainer.HogwildPass{
-			Order:     order.Perm(len(tuples)),
-			RNGs:      []*rng.RNG{worker},
-			Objective: build(store, tuples, neg, cfg, 0.5/float32(p+1)),
-		}
-		run.totals = append(run.totals, pass.Run(nil))
+		tot := pass(nil, store, tuples, order.Perm(len(tuples)), neg, cfg, 0.5/float32(p+1), worker)
+		run.totals = append(run.totals, tot)
 	}
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
@@ -175,9 +171,9 @@ func TestBlockStepMatchesPerExample(t *testing.T) {
 						if uv.name == "degenerate" {
 							tuples = append(tuples, Tuple{Center: 0, Context: []int32{1, 1, 1}})
 						}
-						want := runSGNS(t, referenceObjective(tableLoss), uv.users, tuples, uv.counts, uv.power, cfg, 3)
-						exact := runSGNS(t, referenceObjective(exactLoss), uv.users, tuples, uv.counts, uv.power, cfg, 3)
-						got := runSGNS(t, sgnsObjective, uv.users, tuples, uv.counts, uv.power, cfg, 3)
+						want := runSGNS(t, referencePass(tableLoss), uv.users, tuples, uv.counts, uv.power, cfg, 3)
+						exact := runSGNS(t, referencePass(exactLoss), uv.users, tuples, uv.counts, uv.power, cfg, 3)
+						got := runSGNS(t, sgdPass, uv.users, tuples, uv.counts, uv.power, cfg, 3)
 						if !bytes.Equal(got.store, want.store) {
 							t.Errorf("store bytes differ from the per-example reference")
 						}

@@ -9,7 +9,6 @@ import (
 
 	"inf2vec/internal/embed"
 	"inf2vec/internal/obs"
-	"inf2vec/internal/rng"
 	"inf2vec/internal/trainer"
 )
 
@@ -287,9 +286,8 @@ func TestSpansAbortedByPanic(t *testing.T) {
 }
 
 // TestUntracedTrainingOpensNoSpans checks that training under a ctx without
-// a span records nothing in any tracer, that the corpus_gen wrapper then
-// allocates nothing beyond GenerateCorpus, and that tracing leaves the
-// model's bits alone.
+// a span records nothing in any tracer, and that tracing leaves the model's
+// bits alone. TestUntracedCorpusGenAllocs checks the wrapper's allocations.
 func TestUntracedTrainingOpensNoSpans(t *testing.T) {
 	g, l := faultData(t, 30)
 	cfg := Config{Dim: 6, Iterations: 3, Seed: 8, ContextLength: 8, Workers: 1, CorpusWorkers: 1}
@@ -309,14 +307,4 @@ func TestUntracedTrainingOpensNoSpans(t *testing.T) {
 		t.Fatalf("untraced training added spans to a live tracer: %+v", traces)
 	}
 	storesEqual(t, res.Model.Store, traced.res.Model.Store)
-
-	full, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := testing.AllocsPerRun(5, func() { GenerateCorpus(g, l, full, rng.New(1)) })
-	wrapped := testing.AllocsPerRun(5, func() { generateCorpus(context.Background(), g, l, full, rng.New(1)) })
-	if wrapped != bare {
-		t.Fatalf("untraced corpus_gen wrapper: %v allocations per call, GenerateCorpus alone %v", wrapped, bare)
-	}
 }

@@ -54,8 +54,8 @@ type Recovery = checkpoint.Recovery
 var ErrDiverged = errors.New("core: training diverged and exhausted recovery retries")
 
 // ErrCheckpointMismatch is returned by Resume when the checkpoint on disk
-// was written under a different training configuration (or an incompatible
-// worker count) than the one supplied.
+// was written under a different training configuration than the one
+// supplied, or does not hold exactly one SGD stream.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match the training configuration")
 
 // Result is the outcome of Train.
@@ -95,9 +95,9 @@ func Train(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 }
 
 // TrainContext is Train under a cancellation context. Cancellation is
-// observed between epochs and at shard boundaries inside each pass, so
-// hogwild workers drain cleanly; on cancellation the best-so-far model is
-// returned with Result.Canceled set rather than an error.
+// observed between epochs and every cancelCheckTuples tuples inside each
+// pass; on cancellation the best-so-far model is returned with
+// Result.Canceled set rather than an error.
 func TrainContext(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -215,7 +215,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		return res, nil
 	}
 
-	workerRNGs := makeWorkerRNGs(cfg, root)
+	sgdRNG := root.Split() // every negative of every pass
 	orderRNG := root.Split()
 	baseCorpus, baseNeg := corpus, neg
 	cfgHash := cfg.hash()
@@ -230,17 +230,15 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		if resume.Store == nil || resume.Store.NumUsers() != numUsers || resume.Store.Dim() != cfg.Dim {
 			return nil, fmt.Errorf("%w: checkpoint store shape does not fit %d users x K=%d", ErrCheckpointMismatch, numUsers, cfg.Dim)
 		}
-		if len(resume.Workers) != len(workerRNGs) {
-			return nil, fmt.Errorf("%w: checkpoint has %d worker streams, this run uses %d (race-detector builds force 1)", ErrCheckpointMismatch, len(resume.Workers), len(workerRNGs))
+		if len(resume.Workers) != 1 {
+			return nil, fmt.Errorf("%w: checkpoint has %d SGD streams, want 1", ErrCheckpointMismatch, len(resume.Workers))
 		}
 		if err := store.CopyFrom(resume.Store); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
 		}
 		root.SetState(resume.Root)
 		orderRNG.SetState(resume.Order)
-		for i := range workerRNGs {
-			workerRNGs[i].SetState(resume.Workers[i])
-		}
+		sgdRNG.SetState(resume.Workers[0])
 		epoch = resume.EpochsDone
 		lrScale = resume.LRScale
 		retries = resume.Retries
@@ -275,15 +273,12 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			Recoveries: append([]Recovery(nil), res.Recoveries...),
 			Root:       root.State(),
 			Order:      orderRNG.State(),
-			Workers:    make([][4]uint64, len(workerRNGs)),
+			Workers:    [][4]uint64{sgdRNG.State()},
 			Store:      store,
 		}
 		for i, e := range res.Epochs {
 			st.EpochLoss[i] = e.Loss
 			st.EpochNanos[i] = int64(e.Duration)
-		}
-		for i, w := range workerRNGs {
-			st.Workers[i] = w.State()
 		}
 		return st
 	}
@@ -317,9 +312,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		store.CopyFrom(s.Store)
 		root.SetState(s.Root)
 		orderRNG.SetState(s.Order)
-		for i := range workerRNGs {
-			workerRNGs[i].SetState(s.Workers[i])
-		}
+		sgdRNG.SetState(s.Workers[0])
 		epoch = s.EpochsDone
 		res.Epochs = res.Epochs[:epoch]
 	}
@@ -361,15 +354,10 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		}
 		cfg.emit(trainer.Event{Kind: trainer.EventEpochStart, Epoch: epoch + 1, LearningRate: float64(gamma)})
 		t0 := time.Now()
-		pass := trainer.HogwildPass{
-			Order:     order,
-			RNGs:      workerRNGs,
-			Objective: sgnsObjective(store, corpus.Tuples, neg, cfg, gamma),
-		}
-		totals := pass.Run(done)
+		totals := sgdPass(done, store, corpus.Tuples, order, neg, cfg, gamma, sgdRNG)
 		totalLoss, totalPos := totals.Loss, totals.Examples
 		if ctx.Err() != nil {
-			// Canceled mid-pass: workers drained early, the store holds a
+			// Canceled mid-pass: the pass stopped early, the store holds a
 			// usable partial update but not an epoch boundary, so the pass
 			// is neither recorded nor checkpointed.
 			res.Canceled = true
@@ -464,61 +452,61 @@ func epochGamma(cfg Config, epoch int) float32 {
 	return float32(cfg.LearningRate)
 }
 
-// makeWorkerRNGs allocates one generator per configured hogwild worker. The
-// count is fixed for the whole run — it is part of the checkpoint contract —
-// and is NOT clamped to the corpus size here: under RegenerateContexts a
-// later draw can be larger than the first, and a clamp frozen at the initial
-// corpus would starve it of workers. The engine clamps the shards to each
-// epoch's actual corpus instead.
-func makeWorkerRNGs(cfg Config, root *rng.RNG) []*rng.RNG {
-	out := make([]*rng.RNG, trainer.HogwildWorkers(cfg.Workers))
-	for i := range out {
-		out[i] = root.Split()
-	}
-	return out
-}
+// cancelCheckTuples is how many tuples sgdPass trains between polls of its
+// done channel: often enough that Ctrl-C stops a pass at once, rarely
+// enough to be invisible in profiles.
+const cancelCheckTuples = 256
 
-// sgnsObjective adapts the Eq. 5/6 skip-gram negative-sampling update to the
-// engine: each example is one corpus tuple, and each positive in it is one
-// block step (sgnsBlock.step) over the positive and its negatives. The
-// golden test and TestBlockStepMatchesPerExample pin the result bitwise to
-// updating the examples one by one. Loss sums the table estimate of the
-// Eq. 4 objective; Examples counts positives.
-func sgnsObjective(store *embed.Store, tuples []Tuple, neg *rng.UnigramTable, cfg Config, gamma float32) trainer.HogwildObjective {
-	negatives, biases := cfg.NegativeSamples, !cfg.DisableBiases
-	return func(r *rng.RNG) trainer.PassFunc {
-		b := newSGNSBlock(store, negatives, gamma, biases)
-		return func(ti int, tot *trainer.Totals) {
-			t := &tuples[ti]
-			u := t.Center
-			for _, v := range t.Context {
-				// The draws read no parameters, so drawing every negative
-				// before any update consumes the stream in the same order
-				// as drawing each one just before its own update. A
-				// negative that repeats an earlier one ends the first
-				// sub-block; the positive is never drawn again.
-				b.targets = append(b.targets[:0], v)
-				b.split = 0
-				for s := 0; s < negatives; s++ {
-					w, ok := sampleNegative(neg, r, u, v)
-					if !ok {
-						tot.Skips++
-						continue
-					}
-					if b.split == 0 && slices.Contains(b.targets[1:], w) {
-						b.split = len(b.targets)
-					}
-					b.targets = append(b.targets, w)
-				}
-				b.step(u, &tot.Loss)
-				tot.Examples++
+// sgdPass is one pass of Algorithm 2's SGD (lines 10–16): it trains the
+// tuples in order, each positive as one block step (sgnsBlock.step) over
+// the positive and its negatives, all drawn from r. It polls done every
+// cancelCheckTuples tuples and returns the totals so far once done is
+// closed. Loss sums the table estimate of the Eq. 4 objective; Examples
+// counts positives; Skips counts negatives lost to sampleNegative's bound.
+// The golden test and TestBlockStepMatchesPerExample pin the result bitwise
+// to updating the examples one by one.
+func sgdPass(done <-chan struct{}, store *embed.Store, tuples []Tuple, order []int, neg *rng.UnigramTable, cfg Config, gamma float32, r *rng.RNG) trainer.Totals {
+	negatives := cfg.NegativeSamples
+	b := newSGNSBlock(store, negatives, gamma, !cfg.DisableBiases)
+	var tot trainer.Totals
+	for i, ti := range order {
+		if i%cancelCheckTuples == 0 {
+			select {
+			case <-done:
+				return tot
+			default:
 			}
 		}
+		t := &tuples[ti]
+		u := t.Center
+		for _, v := range t.Context {
+			// The draws read no parameters, so drawing every negative
+			// before any update consumes the stream in the same order as
+			// drawing each one just before its own update. A negative that
+			// repeats an earlier one ends the first sub-block; the positive
+			// is never drawn again.
+			b.targets = append(b.targets[:0], v)
+			b.split = 0
+			for s := 0; s < negatives; s++ {
+				w, ok := sampleNegative(neg, r, u, v)
+				if !ok {
+					tot.Skips++
+					continue
+				}
+				if b.split == 0 && slices.Contains(b.targets[1:], w) {
+					b.split = len(b.targets)
+				}
+				b.targets = append(b.targets, w)
+			}
+			b.step(u, &tot.Loss)
+			tot.Examples++
+		}
 	}
+	return tot
 }
 
-// sgnsBlock is one worker's SGD block step: one positive target and its
-// negatives, all updated against the same S_u row. Its slices are scratch
+// sgnsBlock is the SGD block step: one positive target and its negatives,
+// all updated against the same S_u row. Its slices are scratch
 // sized for 1+|N| targets and reused, so a step allocates nothing.
 type sgnsBlock struct {
 	store  *embed.Store

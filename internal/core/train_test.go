@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"inf2vec/internal/actionlog"
+	"inf2vec/internal/checkpoint"
 	"inf2vec/internal/embed"
 	"inf2vec/internal/graph"
 	"inf2vec/internal/rng"
@@ -162,21 +168,84 @@ func TestTrainLearnsInfluenceDirection(t *testing.T) {
 	}
 }
 
-func TestTrainHogwildSmoke(t *testing.T) {
-	g, l := chainData(t, 20)
-	res, err := Train(g, l, Config{Dim: 8, Iterations: 3, Seed: 11, Workers: 4})
+// TestTrainIdenticalAcrossWorkers pins that Config.Workers selects
+// nothing: runs at 1, 2 and 8 workers save the same store bytes, report
+// the same epoch losses and write the same checkpoint bytes, apart from
+// the wall-clock epoch durations it records.
+func TestTrainIdenticalAcrossWorkers(t *testing.T) {
+	g, l := corpusWorld(t)
+	type run struct {
+		store, ckpt []byte
+		losses      []float64
+	}
+	train := func(workers int) run {
+		path := filepath.Join(t.TempDir(), "train.ckpt")
+		cfg := Config{Dim: 8, Iterations: 3, Seed: 19, ContextLength: 10, Workers: workers, CheckpointPath: path}
+		res, err := Train(g, l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r run
+		var buf bytes.Buffer
+		if err := res.Model.Store.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r.store = buf.Bytes()
+		for _, e := range res.Epochs {
+			r.losses = append(r.losses, e.Loss)
+		}
+		st, err := checkpoint.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(st.EpochNanos)
+		buf = bytes.Buffer{}
+		if err := checkpoint.Save(&buf, st); err != nil {
+			t.Fatal(err)
+		}
+		r.ckpt = buf.Bytes()
+		return r
+	}
+	ref := train(1)
+	if len(ref.losses) != 3 {
+		t.Fatalf("%d epochs at one worker, want 3", len(ref.losses))
+	}
+	for _, workers := range []int{2, 8} {
+		got := train(workers)
+		if !bytes.Equal(got.store, ref.store) {
+			t.Errorf("workers=%d: store bytes differ from one worker", workers)
+		}
+		if !slices.Equal(got.losses, ref.losses) {
+			t.Errorf("workers=%d: epoch losses %v, one worker %v", workers, got.losses, ref.losses)
+		}
+		if !bytes.Equal(got.ckpt, ref.ckpt) {
+			t.Errorf("workers=%d: checkpoint bytes differ from one worker", workers)
+		}
+	}
+}
+
+// TestResumeRejectsStreamCount pins that a run has exactly one SGD
+// stream: a checkpoint that carries two is refused, not half-restored.
+func TestResumeRejectsStreamCount(t *testing.T) {
+	g, l := chainData(t, 10)
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	cfg := Config{Dim: 4, Iterations: 2, Seed: 5, ContextLength: 6, CheckpointPath: path}
+	if _, err := Train(g, l, cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Epochs) != 3 {
-		t.Fatalf("epochs = %d, want 3", len(res.Epochs))
+	if len(st.Workers) != 1 {
+		t.Fatalf("checkpoint has %d SGD streams, want 1", len(st.Workers))
 	}
-	for u := int32(0); u < 4; u++ {
-		for _, v := range res.Model.Store.SourceVec(u) {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				t.Fatal("hogwild training produced non-finite embedding")
-			}
-		}
+	st.Workers = append(st.Workers, st.Workers[0])
+	if err := checkpoint.SaveFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(context.Background(), g, l, cfg); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("Resume of a two-stream checkpoint: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 

@@ -12,9 +12,9 @@
 //
 // Vectors are exposed as mutable sub-slices of two flat float32 arrays so
 // that SGD updates touch contiguous memory. Concurrent updates of different
-// rows are safe; concurrent updates of the same row follow the hogwild
-// convention (benign races, accepted by design and documented at the
-// trainer).
+// rows are safe. The store has no lock, so updates of one row must not
+// run concurrently: Inf2vec's SGD pass updates from one goroutine, and
+// trainer.Pass commits the baselines' updates serially.
 //
 // A store persists as one file framed by internal/frame (magic "I2VEMB")
 // in one of three versions: v2, the float32 layout Save writes; v3, the

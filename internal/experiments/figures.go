@@ -278,7 +278,6 @@ func (s *Suite) Figure9() ([]TimingFigure, error) {
 			cfg := s.inf2vecConfig(s.opts.Seed + 50)
 			cfg.Dim = k
 			cfg.Iterations = 1
-			cfg.Workers = 1 // single-threaded, matching the paper's setup
 			res, err := core.Train(ds.Graph, ds.Train, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: Figure 9 Inf2vec %s K=%d: %w", name, k, err)

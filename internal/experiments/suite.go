@@ -46,7 +46,10 @@ type Options struct {
 	// used for the stddev rows of Tables II/III (paper: 10). Zero selects 3
 	// (Quick: 1).
 	Inf2vecRuns int
-	// Workers for hogwild training. Zero selects min(NumCPU, 8).
+	// Workers bounds baseline training: how many baselines train at once,
+	// and each one's parallelism. Every model the suite trains, Inf2vec's
+	// included, is bitwise the same at any value. Zero selects
+	// min(NumCPU, 8).
 	Workers int
 	// CorpusWorkers for parallel corpus generation. The corpus is bitwise
 	// identical at any count, so this only changes wall-clock time. Zero
@@ -247,7 +250,6 @@ func (s *Suite) inf2vecConfig(seed uint64) core.Config {
 		DecayLearningRate: true,
 		NegativeSamples:   5,
 		Iterations:        35,
-		Workers:           s.opts.Workers,
 		CorpusWorkers:     s.opts.CorpusWorkers,
 		Seed:              seed,
 		Telemetry:         s.sink(),

@@ -21,10 +21,11 @@ func saveStore(t *testing.T, s *embed.Store) []byte {
 	return buf.Bytes()
 }
 
-// TestModelsStableAcrossWorkers pins the concurrent-baseline contract: the
-// trained bundle is bitwise identical whether baselines train one at a time
-// or several in flight, because every baseline carries its own seed and the
-// engine's results are worker-count-independent.
+// TestModelsStableAcrossWorkers pins the Workers contract: the trained
+// bundle is bitwise identical whether baselines train one at a time or
+// several in flight, because every baseline carries its own seed and the
+// engine's results are worker-count-independent, and Inf2vec's models are
+// the same at any Workers value.
 func TestModelsStableAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two full model bundles")
@@ -48,6 +49,14 @@ func TestModelsStableAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(saveStore(t, got.embIC.Store), saveStore(t, ref.embIC.Store)) {
 		t.Error("embic model differs between serial and concurrent training")
+	}
+	if len(got.inf) != len(ref.inf) {
+		t.Fatalf("%d Inf2vec models at Workers 4, %d at Workers 1", len(got.inf), len(ref.inf))
+	}
+	for i := range ref.inf {
+		if !bytes.Equal(saveStore(t, got.inf[i].Store), saveStore(t, ref.inf[i].Store)) {
+			t.Errorf("Inf2vec model %d differs between Workers 1 and 4", i)
+		}
 	}
 	for slot := int64(0); slot < ref.em.NumEdges(); slot++ {
 		if got.em.ProbAt(slot) != ref.em.ProbAt(slot) {

@@ -16,7 +16,7 @@ import (
 // round boundaries (fixed Block), and the commit order are all independent
 // of how many workers prepared them, the result is bitwise identical at any
 // worker count; and because preparation never writes shared state, the pass
-// is race-free and keeps its parallelism under the race detector.
+// is race-free.
 //
 // The price of determinism is one round of staleness: a unit's gradients are
 // computed against parameters up to Block-1 commits old. Block therefore
@@ -28,8 +28,7 @@ type Pass struct {
 	// Units is the number of work units in the pass; units are identified by
 	// their index in [0, Units).
 	Units int
-	// Workers bounds preparation concurrency. Values below 1 mean 1; there
-	// is no race-detector clamp (see above).
+	// Workers bounds preparation concurrency. Values below 1 mean 1.
 	Workers int
 	// Block is the round size in units. Values below 1 mean 1. Block is part
 	// of the determinism contract: changing it changes the staleness pattern

@@ -1,37 +1,28 @@
-// Package trainer is the shared parallel training engine behind Inf2vec and
-// every learned baseline. It factors the epoch/worker/telemetry skeleton
-// that used to live in internal/core's trainOnCorpus/runEpoch/sgdPass into
-// one place, split along three seams:
+// Package trainer is the shared training engine behind every learned
+// baseline, and the event type Inf2vec's own training loop reports
+// through. It splits a training run along three seams:
 //
-//   - an example source: the per-epoch work list — a shuffled tuple order
-//     (Inf2vec), streamed walks (node2vec), sampled triples (MF BPR), or
-//     exposure groups (Emb-IC, EM);
+//   - an example source: the per-epoch work list — streamed walks
+//     (node2vec), sampled triples (MF BPR), or exposure groups (Emb-IC,
+//     EM);
 //   - an objective step: the per-example parameter update, supplied as a
 //     callback so each model keeps its own gradient math; and
 //   - the engine: worker scheduling, RNG stream discipline, cooperative
 //     cancellation, per-epoch loss/throughput telemetry, and NaN/Inf
 //     divergence detection — written once, inherited by every objective.
 //
-// Two execution models are provided:
+// The one execution model is Pass: deterministic synchronous-parallel
+// rounds. The epoch is a fixed sequence of work units; each unit draws
+// from its own rng.Keyed stream (the corpus-generation discipline), rounds
+// of Block units are prepared concurrently against frozen parameters, and
+// the prepared updates are committed serially in unit order. Results are
+// bitwise identical at ANY worker count — the unit streams, the round
+// boundaries, and the commit order are all independent of scheduling —
+// and the phases are race-free.
 //
-//   - HogwildPass: word2vec-style lock-free sharding. Each worker owns a
-//     persistent RNG stream (checkpointable) and a contiguous shard of the
-//     epoch order; shards update shared parameters without locks, so results
-//     at >1 worker are statistically but not bitwise reproducible. This is a
-//     verbatim extraction of internal/core's original pass: at one worker it
-//     is bitwise identical to the pre-extraction implementation (golden
-//     tested in core), and under the race detector it degrades to one worker
-//     because hogwild's benign races would (correctly) be flagged.
-//
-//   - Pass: deterministic synchronous-parallel rounds. The epoch is a fixed
-//     sequence of work units; each unit draws from its own rng.Keyed stream
-//     (the PR-4 corpus-generation discipline), rounds of Block units are
-//     prepared concurrently against frozen parameters, and the prepared
-//     updates are committed serially in unit order. Results are bitwise
-//     identical at ANY worker count — the unit streams, the round
-//     boundaries, and the commit order are all independent of scheduling —
-//     and the phases are race-free, so no race-detector clamp applies. All
-//     ported baselines train this way.
+// Inf2vec does not train on Pass: its SGD pass (internal/core) is one
+// serial loop over the shuffled tuples on one RNG stream, Algorithm 2 as
+// the paper states it.
 package trainer
 
 import "inf2vec/internal/rng"
@@ -51,27 +42,7 @@ type Totals struct {
 	Skips int64
 }
 
-// RaceEnabled reports whether the Go race detector is compiled in. Hogwild
-// passes degrade to one worker under it; deterministic passes are race-free
-// and keep their configured parallelism.
-func RaceEnabled() bool { return raceEnabled }
-
-// HogwildWorkers resolves a configured hogwild worker count: at least one,
-// and forced to one under the race detector. Callers that checkpoint one RNG
-// stream per worker must size their stream set with this same function so
-// the checkpoint contract matches what the engine will run.
-func HogwildWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if raceEnabled {
-		n = 1
-	}
-	return n
-}
-
-// Workers resolves a deterministic-pass worker count: at least one, with no
-// race clamp (prepare/commit rounds are race-free by construction).
+// Workers resolves a pass's worker count: at least one.
 func Workers(n int) int {
 	if n < 1 {
 		return 1
@@ -91,12 +62,6 @@ func StreamSeed(seed uint64, keys ...uint64) uint64 {
 	}
 	return seed
 }
-
-// cancelCheckInterval is how many examples a hogwild shard (or committed
-// units a deterministic pass) processes between cancellation checks:
-// frequent enough that Ctrl-C feels immediate, cheap enough to be invisible
-// in profiles.
-const cancelCheckInterval = 256
 
 // canceled polls done without blocking.
 func canceled(done <-chan struct{}) bool {
