@@ -444,29 +444,51 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainThroughput measures raw SGD throughput (positives/second)
-// at the paper's default K=50, the number Figure 9's comparison rests on.
+// flickrCorpus lazily generates train-flickr's corpus: the flickr-like
+// preset's graph and an 80% split of its episodes, with influence contexts
+// drawn at K=50, L=50, α=0.1.
+var flickrCorpus = sync.OnceValues(func() (*core.Corpus, error) {
+	ds, err := datagen.Generate(datagen.FlickrLike(1))
+	if err != nil {
+		return nil, err
+	}
+	train, _, _, err := ds.Log.Split(102, 0.8, 0)
+	if err != nil {
+		return nil, err
+	}
+	return core.GenerateCorpus(ds.Graph, train, flickrConfig(), rng.New(1)), nil
+})
+
+// flickrConfig is train-flickr's training configuration: K=50, L=50,
+// α=0.1, γ=0.025 linearly decayed, |N|=5, 4 passes.
+func flickrConfig() core.Config {
+	return core.Config{
+		Dim: 50, ContextLength: 50, Alpha: 0.1, LearningRate: 0.025,
+		DecayLearningRate: true, NegativeSamples: 5, Iterations: 4, Seed: 5,
+	}
+}
+
+// BenchmarkTrainThroughput measures SGD throughput (positives/second) on
+// train-flickr's corpus and configuration at one worker and at two. The
+// stratified pass trains the same model at both, so their ratio is its
+// parallel speedup; corpus generation is outside the timer.
 func BenchmarkTrainThroughput(b *testing.B) {
-	ds, err := ablationWorld()
+	corpus, err := flickrCorpus()
 	if err != nil {
 		b.Fatal(err)
 	}
-	train, _, _, err := ds.Log.Split(3, 0.8, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var positives int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.Train(ds.Graph, train, core.Config{
-			Dim: 50, Iterations: 1, Seed: 5, Workers: 1,
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := flickrConfig()
+			cfg.Workers = workers
+			for i := 0; i < b.N; i++ {
+				if _, err := core.TrainOnCorpus(int32(len(corpus.ContextFreq)), corpus, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(corpus.NumPositives)*float64(cfg.Iterations)*float64(b.N)/b.Elapsed().Seconds(), "positives/s")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		positives = res.NumPositives
 	}
-	b.ReportMetric(float64(positives)*float64(b.N)/b.Elapsed().Seconds(), "positives/s")
 }
 
 // baselineWorld lazily generates the paper-scale dataset shared by the

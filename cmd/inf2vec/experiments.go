@@ -109,8 +109,12 @@ func runAll(ctx context.Context, list string, quick bool, seed uint64, workers, 
 	// The context reaches every training loop (Inf2vec and all baselines),
 	// so a signal also drains mid-section training at the next epoch/round
 	// boundary rather than waiting the section out.
+	scale := 1
+	if quick {
+		scale = 4
+	}
 	s := experiments.NewSuite(experiments.Options{
-		Seed: seed, Quick: quick,
+		Seed: seed, Scale: scale,
 		Workers: workers, CorpusWorkers: corpusWorkers,
 		Context: ctx, Telemetry: sink,
 	})

@@ -42,7 +42,9 @@ import (
 
 // Config collects Inf2vec's hyperparameters; zero values select the paper's
 // defaults (K=50, L=50, α=0.1, restart 0.5, γ=0.005, |N|=5, 10 iterations).
-// See the field documentation in the underlying type.
+// Workers and CorpusWorkers only set how many goroutines train and
+// generate contexts: any values give the same model bits. See the field
+// documentation in the underlying type.
 type Config = core.Config
 
 // Graph is a directed social network over dense int32 user IDs. An edge

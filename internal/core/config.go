@@ -69,10 +69,12 @@ type Config struct {
 	// influence pairs only — the setting of the paper's efficiency
 	// comparison ("without Algorithm 1") and of the citation case study.
 	FirstOrderOnly bool
-	// Workers is ignored: the SGD pass runs on the calling goroutine with
-	// one RNG stream, so a run is bitwise the same at any value. The field
-	// remains only because perfbench sets it; a negative value is still
-	// rejected.
+	// Workers is the number of goroutines that run the cells of each
+	// sub-epoch of the stratified SGD pass; at most sgdBlocks (2) of them
+	// have work. Any value trains the same bits: every cell draws from its
+	// own keyed stream and the cells' totals add up in cell order, so it is
+	// a pure throughput knob, excluded from the checkpoint fingerprint like
+	// CorpusWorkers. Zero selects GOMAXPROCS.
 	Workers int
 	// CorpusWorkers is the number of goroutines that generate the
 	// influence-context corpus (Algorithm 2 lines 3–8). Every episode draws
@@ -158,6 +160,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 10
 	}
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if cfg.CorpusWorkers == 0 {
 		cfg.CorpusWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -209,16 +214,15 @@ const corpusStreamVersion = 2
 // changing where or how often to checkpoint does not change the run.
 // CorpusWorkers is likewise excluded — per-episode RNG streams make the
 // corpus bitwise identical at any corpus worker count — while the stream
-// derivation itself is versioned in. Workers is ignored too: the constant
-// workers=1 keeps the hash of every configuration that trained at one
-// worker, and every checkpoint it wrote, as it was.
+// derivation itself is versioned in. Workers is excluded for the same
+// reason; the SGD pass and its block count are versioned in instead.
 func (cfg Config) hash() uint64 {
-	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=%t firstorder=%t workers=1 seed=%d stream=%d",
+	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=%t firstorder=%t sgd=%d blocks=%d seed=%d stream=%d",
 		cfg.Dim, cfg.ContextLength, cfg.Alpha, cfg.RestartRatio,
 		cfg.LearningRate, cfg.DecayLearningRate, cfg.NegativeSamples,
 		cfg.Iterations, cfg.NegativePower, cfg.DisableBiases,
-		cfg.RegenerateContexts, cfg.FirstOrderOnly, cfg.Seed,
-		corpusStreamVersion)
+		cfg.RegenerateContexts, cfg.FirstOrderOnly, sgdPassVersion, sgdBlocks,
+		cfg.Seed, corpusStreamVersion)
 	// Streaming-round identity is appended only when set, so the hash of
 	// every pre-existing configuration — and every checkpoint written under
 	// one — is byte-identical to what it was before these fields existed.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -168,23 +169,22 @@ func TestTrainLearnsInfluenceDirection(t *testing.T) {
 	}
 }
 
-// TestTrainIdenticalAcrossWorkers pins that Config.Workers selects
-// nothing: runs at 1, 2 and 8 workers save the same store bytes, report
+// TestTrainIdenticalAcrossWorkers pins that Config.Workers changes only
+// throughput: runs at 1, 2 and 8 workers save the same store bytes, report
 // the same epoch losses and write the same checkpoint bytes, apart from
-// the wall-clock epoch durations it records.
+// the wall-clock epoch durations it records. A run canceled after its
+// first epoch at one worker count and resumed at another ends with the
+// same bytes too.
 func TestTrainIdenticalAcrossWorkers(t *testing.T) {
 	g, l := corpusWorld(t)
 	type run struct {
 		store, ckpt []byte
 		losses      []float64
 	}
-	train := func(workers int) run {
-		path := filepath.Join(t.TempDir(), "train.ckpt")
-		cfg := Config{Dim: 8, Iterations: 3, Seed: 19, ContextLength: 10, Workers: workers, CheckpointPath: path}
-		res, err := Train(g, l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	config := func(workers int, path string) Config {
+		return Config{Dim: 8, Iterations: 3, Seed: 19, ContextLength: 10, Workers: workers, CheckpointPath: path}
+	}
+	record := func(res *Result, path string) run {
 		var r run
 		var buf bytes.Buffer
 		if err := res.Model.Store.Save(&buf); err != nil {
@@ -206,21 +206,85 @@ func TestTrainIdenticalAcrossWorkers(t *testing.T) {
 		r.ckpt = buf.Bytes()
 		return r
 	}
+	compare := func(name string, got, ref run) {
+		t.Helper()
+		if !bytes.Equal(got.store, ref.store) {
+			t.Errorf("%s: store bytes differ from one worker", name)
+		}
+		if !slices.Equal(got.losses, ref.losses) {
+			t.Errorf("%s: epoch losses %v, one worker %v", name, got.losses, ref.losses)
+		}
+		if !bytes.Equal(got.ckpt, ref.ckpt) {
+			t.Errorf("%s: checkpoint bytes differ from one worker", name)
+		}
+	}
+	train := func(workers int) run {
+		path := filepath.Join(t.TempDir(), "train.ckpt")
+		res, err := Train(g, l, config(workers, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return record(res, path)
+	}
 	ref := train(1)
 	if len(ref.losses) != 3 {
 		t.Fatalf("%d epochs at one worker, want 3", len(ref.losses))
 	}
 	for _, workers := range []int{2, 8} {
-		got := train(workers)
-		if !bytes.Equal(got.store, ref.store) {
-			t.Errorf("workers=%d: store bytes differ from one worker", workers)
+		compare(fmt.Sprintf("workers=%d", workers), train(workers), ref)
+	}
+
+	for _, w := range [][2]int{{1, 2}, {2, 1}, {8, 2}} {
+		path := filepath.Join(t.TempDir(), "train.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := testAfterEpoch
+		testAfterEpoch = func(done int, _ *embed.Store) {
+			if done == 1 {
+				cancel()
+			}
 		}
-		if !slices.Equal(got.losses, ref.losses) {
-			t.Errorf("workers=%d: epoch losses %v, one worker %v", workers, got.losses, ref.losses)
+		killed, err := TrainContext(ctx, g, l, config(w[0], path))
+		testAfterEpoch = stop
+		cancel()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got.ckpt, ref.ckpt) {
-			t.Errorf("workers=%d: checkpoint bytes differ from one worker", workers)
+		if !killed.Canceled || len(killed.Epochs) != 1 {
+			t.Fatalf("workers=%d: interrupted run: canceled=%t epochs=%d", w[0], killed.Canceled, len(killed.Epochs))
 		}
+		resumed, err := Resume(context.Background(), g, l, config(w[1], path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.StartEpoch != 1 {
+			t.Fatalf("resumed at epoch %d, want 1", resumed.StartEpoch)
+		}
+		compare(fmt.Sprintf("workers=%d resumed at %d", w[0], w[1]), record(resumed, path), ref)
+	}
+}
+
+// TestResumeRejectsSerialPassCheckpoint pins that a checkpoint written by
+// the serial SGD pass, which carries that pass's fingerprint, is refused
+// with ErrCheckpointMismatch rather than continued by the stratified pass.
+// 0x8ec6b66b360c8afa is the serial pass's fingerprint of Config{Seed: 9}
+// with every default applied.
+func TestResumeRejectsSerialPassCheckpoint(t *testing.T) {
+	g, l := chainData(t, 4)
+	path := filepath.Join(t.TempDir(), "train.ckpt")
+	cfg := Config{Seed: 9, CheckpointPath: path}
+	if _, err := Train(g, l, cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ConfigHash = 0x8ec6b66b360c8afa
+	if err := checkpoint.SaveFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(context.Background(), g, l, cfg); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("Resume of a serial-pass checkpoint: err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 

@@ -13,8 +13,9 @@
 // Vectors are exposed as mutable sub-slices of two flat float32 arrays so
 // that SGD updates touch contiguous memory. Concurrent updates of different
 // rows are safe. The store has no lock, so updates of one row must not
-// run concurrently: Inf2vec's SGD pass updates from one goroutine, and
-// trainer.Pass commits the baselines' updates serially.
+// run concurrently: Inf2vec's stratified SGD pass runs concurrently only
+// cells that touch disjoint rows and biases, and trainer.Pass commits the
+// baselines' updates serially.
 //
 // A store persists as one file framed by internal/frame (magic "I2VEMB")
 // in one of three versions: v2, the float32 layout Save writes; v3, the

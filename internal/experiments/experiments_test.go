@@ -1,18 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// quickSuite builds a shared reduced-scale suite; model training is cached
-// across subtests. It trains at one worker: Inf2vec trains hogwild, so at
-// more workers the claims it asserts would depend on goroutine scheduling
-// and on the host's processor count. The baselines are bit-identical at any
-// worker count.
+// quickSuite builds a shared quick-scale suite; model training is cached
+// across subtests. Every model it trains is bitwise the same at any
+// Workers value.
 func quickSuite(t *testing.T) *Suite {
 	t.Helper()
-	return NewSuite(Options{Seed: 1, Quick: true, Workers: 1})
+	return NewSuite(Options{Seed: 1, Scale: 4, Workers: 1})
 }
 
 func findRow(t *testing.T, dr DatasetResults, method string) MethodResult {
@@ -92,17 +91,8 @@ func TestSuiteEndToEnd(t *testing.T) {
 			if len(dr.Rows) != len(MethodNames()) {
 				t.Fatalf("%s: %d rows", dr.Dataset, len(dr.Rows))
 			}
-			inf := findRow(t, dr, "Inf2vec")
-			de := findRow(t, dr, "DE")
-			n2v := findRow(t, dr, "Node2vec")
-			// The paper's core ordering claims, at quick scale.
-			if inf.Metrics.AUC <= de.Metrics.AUC {
-				t.Errorf("%s: Inf2vec AUC %v not above DE %v", dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC)
-			}
-			if inf.Metrics.MAP <= n2v.Metrics.MAP {
-				t.Errorf("%s: Inf2vec MAP %v not above Node2vec %v", dr.Dataset, inf.Metrics.MAP, n2v.Metrics.MAP)
-			}
 		}
+		// The paper's claims are asserted in TestPaperClaimsOnThreeSeeds.
 	})
 
 	t.Run("TableIII", func(t *testing.T) {
@@ -111,11 +101,8 @@ func TestSuiteEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dr := range results {
-			inf := findRow(t, dr, "Inf2vec")
-			de := findRow(t, dr, "DE")
-			if inf.Metrics.AUC <= de.Metrics.AUC {
-				t.Errorf("%s: diffusion Inf2vec AUC %v not above DE %v",
-					dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC)
+			if len(dr.Rows) != len(MethodNames()) {
+				t.Fatalf("%s: %d rows", dr.Dataset, len(dr.Rows))
 			}
 		}
 	})
@@ -277,6 +264,51 @@ func TestSuiteEndToEnd(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPaperClaimsOnThreeSeeds asserts the paper's claims that the suite
+// reproduces, on seeds 1, 2 and 3 at half scale, each with a margin:
+// Inf2vec's AUC is at least DE's + 0.05 in Table II (activation) and
+// Table III (diffusion) on both datasets, and Inf2vec's MAP is at least
+// 1.3 times Node2vec's in Table II. At quick scale one seed's claims held
+// only by luck; EXPERIMENTS.md lists the margins on seeds 1-5.
+func TestPaperClaimsOnThreeSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three half-scale suites")
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			s := NewSuite(Options{Seed: seed, Scale: 2})
+			t2, err := s.TableII()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t3, err := s.TableIII()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dr := range t2 {
+				inf, de, n2v := findRow(t, dr, "Inf2vec"), findRow(t, dr, "DE"), findRow(t, dr, "Node2vec")
+				t.Logf("Table II %s: AUC Inf2vec %.4f DE %.4f (margin %+.4f); MAP Inf2vec %.4f Node2vec %.4f (ratio %.2fx)",
+					dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC, inf.Metrics.AUC-de.Metrics.AUC,
+					inf.Metrics.MAP, n2v.Metrics.MAP, inf.Metrics.MAP/n2v.Metrics.MAP)
+				if inf.Metrics.AUC < de.Metrics.AUC+0.05 {
+					t.Errorf("Table II %s: Inf2vec AUC %.4f below DE's %.4f + 0.05", dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC)
+				}
+				if inf.Metrics.MAP < 1.3*n2v.Metrics.MAP {
+					t.Errorf("Table II %s: Inf2vec MAP %.4f below 1.3 x Node2vec's %.4f", dr.Dataset, inf.Metrics.MAP, n2v.Metrics.MAP)
+				}
+			}
+			for _, dr := range t3 {
+				inf, de := findRow(t, dr, "Inf2vec"), findRow(t, dr, "DE")
+				t.Logf("Table III %s: AUC Inf2vec %.4f DE %.4f (margin %+.4f)",
+					dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC, inf.Metrics.AUC-de.Metrics.AUC)
+				if inf.Metrics.AUC < de.Metrics.AUC+0.05 {
+					t.Errorf("Table III %s: Inf2vec AUC %.4f below DE's %.4f + 0.05", dr.Dataset, inf.Metrics.AUC, de.Metrics.AUC)
+				}
+			}
+		})
+	}
 }
 
 func TestUnknownDataset(t *testing.T) {

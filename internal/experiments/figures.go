@@ -116,7 +116,7 @@ func (s *Suite) Figure6() ([]VisualizationResult, error) {
 
 	// Top pairs (paper: 10,000 pairs covering 524 nodes; scaled down).
 	topN := 300
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		topN = 60
 	}
 	pc := diffusion.CountPairs(ds.Graph, ds.Train)
@@ -155,7 +155,7 @@ func (s *Suite) Figure6() ([]VisualizationResult, error) {
 		{"Inf2vec", m.inf[0].Store.Concat},
 	}
 	iters := 400
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		iters = 120
 	}
 	var out []VisualizationResult
@@ -229,7 +229,7 @@ func (s *Suite) sweep(values []int, mutate func(*core.Config, int)) ([]SweepFigu
 // Figure7 reproduces the dimension sweep: MAP versus K.
 func (s *Suite) Figure7() ([]SweepFigure, error) {
 	values := []int{10, 25, 50, 100, 200}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		values = []int{8, 16, 32}
 	}
 	return s.sweep(values, func(cfg *core.Config, k int) { cfg.Dim = k })
@@ -238,7 +238,7 @@ func (s *Suite) Figure7() ([]SweepFigure, error) {
 // Figure8 reproduces the context-length sweep: MAP versus L.
 func (s *Suite) Figure8() ([]SweepFigure, error) {
 	values := []int{10, 25, 50, 100}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		values = []int{5, 10, 20}
 	}
 	return s.sweep(values, func(cfg *core.Config, l int) { cfg.ContextLength = l })
@@ -262,7 +262,7 @@ type TimingFigure struct {
 // Inf2vec's pairs-only mode (the paper's "without Algorithm 1" setting).
 func (s *Suite) Figure9() ([]TimingFigure, error) {
 	dims := []int{10, 25, 50, 100}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		dims = []int{8, 16}
 	}
 	var out []TimingFigure

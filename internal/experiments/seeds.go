@@ -51,7 +51,7 @@ func (s *Suite) SeedsAnytime() ([]SeedsRow, error) {
 	model := m.inf[0]
 
 	k, mcRuns, pool := 10, 100, 50
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		k, mcRuns, pool = 5, 50, 25
 	}
 	prober := &infmax.ModelProber{

@@ -35,16 +35,18 @@ import (
 type Options struct {
 	// Seed drives dataset generation, splits, training and simulation.
 	Seed uint64
-	// Quick shrinks datasets and training budgets by roughly an order of
-	// magnitude — used by unit tests and smoke runs. Results keep their
-	// ordering but are noisier.
-	Quick bool
+	// Scale divides both datasets' user and item counts: 1 is full scale,
+	// 2 half and 4 quick (the experiments command's -quick). Every scale
+	// but full also runs the reduced training and simulation budgets —
+	// used by unit tests and smoke runs; results keep their ordering but
+	// are noisier. Zero selects 1.
+	Scale int
 	// MonteCarloRuns for IC-based diffusion scoring (paper: 5,000). Zero
-	// selects 300 (Quick: 50).
+	// selects 300 (reduced: 50).
 	MonteCarloRuns int
 	// Inf2vecRuns is the number of independently seeded Inf2vec trainings
 	// used for the stddev rows of Tables II/III (paper: 10). Zero selects 3
-	// (Quick: 1).
+	// (reduced: 1).
 	Inf2vecRuns int
 	// Workers bounds baseline training: how many baselines train at once,
 	// and each one's parallelism. Every model the suite trains, Inf2vec's
@@ -72,15 +74,18 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
+	if o.Scale < 1 {
+		o.Scale = 1
+	}
 	if o.MonteCarloRuns == 0 {
-		if o.Quick {
+		if o.reduced() {
 			o.MonteCarloRuns = 50
 		} else {
 			o.MonteCarloRuns = 300
 		}
 	}
 	if o.Inf2vecRuns == 0 {
-		if o.Quick {
+		if o.reduced() {
 			o.Inf2vecRuns = 1
 		} else {
 			o.Inf2vecRuns = 3
@@ -94,6 +99,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// reduced reports whether the suite runs the reduced budgets: at every
+// scale but full.
+func (o Options) reduced() bool { return o.Scale > 1 }
 
 // DatasetNames lists the two evaluation datasets in paper order.
 func DatasetNames() []string { return []string{"digg-like", "flickr-like"} }
@@ -176,10 +185,8 @@ func (s *Suite) datasetConfig(name string) (datagen.Config, error) {
 	default:
 		return cfg, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
-	if s.opts.Quick {
-		cfg.NumUsers /= 4
-		cfg.NumItems /= 4
-	}
+	cfg.NumUsers /= int32(s.opts.Scale)
+	cfg.NumItems /= int32(s.opts.Scale)
 	return cfg, nil
 }
 
@@ -254,9 +261,9 @@ func (s *Suite) inf2vecConfig(seed uint64) core.Config {
 		Seed:              seed,
 		Telemetry:         s.sink(),
 	}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		// 16 passes (not the full run's 35) keeps the paper's Table II/III
-		// ordering over the strongest baselines at quick scale; 8 leaves the
+		// ordering over the strongest baselines at reduced scale; 8 leaves the
 		// model short of node2vec now that the baselines resample dropped
 		// negatives instead of discarding them.
 		cfg.Dim = 16
@@ -268,7 +275,7 @@ func (s *Suite) inf2vecConfig(seed uint64) core.Config {
 
 // inf2vecAlphaGrid is the component-weight grid searched on the tune split.
 func (s *Suite) inf2vecAlphaGrid() []float64 {
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		return []float64{0.15}
 	}
 	return []float64{0.05, 0.1, 0.15, 0.3}
@@ -332,7 +339,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 	})
 
 	emCfg := em.Config{Iterations: 15, Workers: s.opts.Workers, Telemetry: s.sink()}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		emCfg.Iterations = 5
 	}
 	start("em", func() error {
@@ -347,7 +354,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 		Dim: 50, Iterations: 10, Seed: s.opts.Seed + 3,
 		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		embCfg.Dim = 16
 		embCfg.Iterations = 3
 	}
@@ -363,7 +370,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 		Dim: 50, Iterations: 15, Seed: s.opts.Seed + 4,
 		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		mfCfg.Dim = 16
 		mfCfg.Iterations = 5
 	}
@@ -380,7 +387,7 @@ func (s *Suite) Models(name string) (*trainedModels, error) {
 		Seed:    s.opts.Seed + 5,
 		Workers: s.opts.Workers, Telemetry: s.sink(),
 	}
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		n2vCfg.Dim = 16
 		n2vCfg.WalksPerNode = 3
 		n2vCfg.WalkLength = 20

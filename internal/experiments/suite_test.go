@@ -30,12 +30,12 @@ func TestModelsStableAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two full model bundles")
 	}
-	serial := NewSuite(Options{Seed: 1, Quick: true, Workers: 1})
+	serial := NewSuite(Options{Seed: 1, Scale: 4, Workers: 1})
 	ref, err := serial.Models("digg-like")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := NewSuite(Options{Seed: 1, Quick: true, Workers: 4})
+	parallel := NewSuite(Options{Seed: 1, Scale: 4, Workers: 4})
 	got, err := parallel.Models("digg-like")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestModelsEmitsBaselineEvents(t *testing.T) {
 	ends := map[string]int{}
 	epochEnds := map[string]int{}
 	s := NewSuite(Options{
-		Seed: 1, Quick: true, Workers: 4,
+		Seed: 1, Scale: 4, Workers: 4,
 		Telemetry: func(e trainer.Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -113,7 +113,7 @@ func TestModelsEmitsBaselineEvents(t *testing.T) {
 func TestModelsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := NewSuite(Options{Seed: 1, Quick: true, Context: ctx})
+	s := NewSuite(Options{Seed: 1, Scale: 4, Context: ctx})
 	if _, err := s.Models("digg-like"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Models error = %v, want context.Canceled", err)
 	}
@@ -126,7 +126,7 @@ func TestModelsCanceledContext(t *testing.T) {
 func TestInf2vecSpansHangOffTheSuiteContext(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, SlowThreshold: -1})
 	ctx, root := tracer.StartRoot(context.Background(), "experiments")
-	s := NewSuite(Options{Seed: 1, Quick: true, Workers: 1, Context: ctx})
+	s := NewSuite(Options{Seed: 1, Scale: 4, Workers: 1, Context: ctx})
 	if _, err := s.inf2vecL("digg-like", &trainedModels{}); err != nil {
 		t.Fatal(err)
 	}

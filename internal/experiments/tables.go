@@ -268,7 +268,7 @@ func (s *Suite) TableVI() (*citation.StudyResult, error) {
 	cfg := citation.Config{Seed: s.opts.Seed + 70}
 	embCfg := core.Config{Dim: 50, Iterations: 10, LearningRate: 0.02, Seed: s.opts.Seed + 71}
 	mcRuns := 500
-	if s.opts.Quick {
+	if s.opts.reduced() {
 		cfg.NumAuthors = 150
 		cfg.NumPapers = 400
 		embCfg.Dim = 16

@@ -17,6 +17,7 @@ import (
 
 	"inf2vec/internal/actionlog"
 	"inf2vec/internal/benchgate"
+	"inf2vec/internal/checkpoint"
 	"inf2vec/internal/core"
 	"inf2vec/internal/embed"
 	"inf2vec/internal/graph"
@@ -390,6 +391,61 @@ func TestCrashBetweenCheckpointAndOffsetAdvance(t *testing.T) {
 	}
 	if got := readFile(t, cfg.ModelPath); !bytes.Equal(got, refNew) {
 		t.Fatal("resumed run published different bytes than the uninterrupted run")
+	}
+}
+
+// TestMismatchedCheckpointTrainsFresh leaves a round's checkpoint on disk,
+// as a crash after the checkpoint write does, and rewrites its config
+// fingerprint, as a checkpoint written by an older SGD pass carries. The
+// restarted round must log that the checkpoint is unusable, train fresh
+// and publish the bytes of the uninterrupted run.
+func TestMismatchedCheckpointTrainsFresh(t *testing.T) {
+	_, refNew := referenceModels(t)
+
+	dir := t.TempDir()
+	cfg := pipeCfg(t, dir)
+	appendLines(t, cfg.LogPath, phaseLines(0))
+	p1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mustStep(t, p1) {
+		t.Fatal("round 1 did not publish")
+	}
+	appendLines(t, cfg.LogPath, phaseLines(1))
+	crashCfg := cfg
+	crashCfg.Hooks = Hooks{Crash: (&oneShot{point: "checkpoint"}).hook}
+	p2, err := New(crashCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.Step(context.Background()); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("step survived the checkpoint crash: %v", err)
+	}
+	ckpt := cfg.ModelPath + ".ckpt"
+	st, err := checkpoint.LoadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ConfigHash ^= 1
+	if err := checkpoint.SaveFile(ckpt, st); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	p3, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mustStep(t, p3) {
+		t.Fatal("restarted pipeline did not publish")
+	}
+	if !strings.Contains(logs.String(), "checkpoint unusable; training fresh") {
+		t.Errorf("restarted round did not report the unusable checkpoint; log:\n%s", logs.String())
+	}
+	if got := readFile(t, cfg.ModelPath); !bytes.Equal(got, refNew) {
+		t.Fatal("fresh retrain published different bytes than the uninterrupted run")
 	}
 }
 
