@@ -18,6 +18,7 @@ import (
 
 // Tuple is one (center user, influence context) training example — the
 // (u, C_u^i) of Algorithm 1. Context entries are user IDs and may repeat.
+// Training reorders them by block (see newStrata).
 type Tuple struct {
 	Center  int32
 	Context []int32
