@@ -16,8 +16,10 @@ import (
 // episode whose index, item and actions are unchanged since the previous
 // call generates exactly the same tuples; the cache returns the stored
 // slice instead of re-walking the propagation network. The result is
-// bitwise identical to regenerating everything from scratch: caching is
-// invisible to training, checkpoints and golden tests.
+// bitwise identical to regenerating everything from scratch, up to the
+// order within contexts that an earlier training call changed by
+// reordering them by block (newStrata), which trains the same bits:
+// caching is invisible to training, checkpoints and golden tests.
 //
 // Entries are validated per use against the base draw, the
 // corpus-shaping configuration fields, the graph identity, and a
