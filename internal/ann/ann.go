@@ -71,10 +71,11 @@ const DefaultNProbe = 24
 const defaultProbeDiv = 24
 
 const (
-	defaultKMeansIters = 6
-	// defaultSamplePerCluster caps k-means training points at this multiple
-	// of the cluster count; assignment still sweeps every row.
-	defaultSamplePerCluster = 32
+	// kmeansIters is the number of Lloyd iterations.
+	kmeansIters = 6
+	// samplePerCluster caps k-means training points at this multiple of the
+	// cluster count; assignment still sweeps every row.
+	samplePerCluster = 32
 	// maxShards bounds the scatter width; beyond physical parallelism more
 	// shards only add merge overhead.
 	maxShards = 64
@@ -92,20 +93,10 @@ type Config struct {
 	// Shards is the number of user-ID-range partitions (default: GOMAXPROCS,
 	// clamped so every shard keeps at least minShardRows rows).
 	Shards int
-	// ClustersPerShard is the k-means cluster count per shard (default:
-	// 3√rows — finer than the classic √rows so each probed cluster hands
-	// fewer rows to the exact rescorer — clamped to [1, 4096]).
-	ClustersPerShard int
 	// NProbe is the default clusters probed per shard at search time when
 	// the Search call does not override it (default: scales with the
 	// cluster count, see DefaultNProbe).
 	NProbe int
-	// KMeansIters is the number of Lloyd iterations (default 6).
-	KMeansIters int
-	// KMeansSample caps the training points per shard (default
-	// 32·ClustersPerShard); the final assignment pass always covers every
-	// row.
-	KMeansSample int
 	// Seed drives every random choice of the build.
 	Seed uint64
 }
@@ -123,9 +114,6 @@ func (c Config) withDefaults(n int32) Config {
 	c.Shards = min(max(c.Shards, 1), maxShards)
 	if int32(c.Shards) > n {
 		c.Shards = int(n)
-	}
-	if c.KMeansIters <= 0 {
-		c.KMeansIters = defaultKMeansIters
 	}
 	return c
 }
@@ -207,7 +195,7 @@ func Build(src Source, cfg Config) (*Index, error) {
 		wg.Add(1)
 		go func(si int, lo, hi int32) {
 			defer wg.Done()
-			ix.shards[si] = buildShard(src, lo, hi, ix.dim, cfg, rng.Keyed(cfg.Seed, uint64(si)))
+			ix.shards[si] = buildShard(src, lo, hi, ix.dim, rng.Keyed(cfg.Seed, uint64(si)))
 		}(si, lo, hi)
 		lo = hi
 	}
@@ -226,7 +214,7 @@ func Build(src Source, cfg Config) (*Index, error) {
 }
 
 // buildShard clusters the augmented target vectors of [lo, hi).
-func buildShard(src Source, lo, hi int32, dim int, cfg Config, r *rng.RNG) shard {
+func buildShard(src Source, lo, hi int32, dim int, r *rng.RNG) shard {
 	rows := int(hi - lo)
 	sh := shard{lo: lo, hi: hi}
 	if rows == 0 {
@@ -250,16 +238,10 @@ func buildShard(src Source, lo, hi int32, dim int, cfg Config, r *rng.RNG) shard
 	if len(ids) == 0 {
 		return sh
 	}
-	c := cfg.ClustersPerShard
-	if c <= 0 {
-		c = 3 * int(math.Sqrt(float64(len(ids))))
-	}
-	c = min(max(c, 1), min(maxClustersPerShard, len(ids)))
-	sampleCap := cfg.KMeansSample
-	if sampleCap <= 0 {
-		sampleCap = defaultSamplePerCluster * c
-	}
-	sh.centroids = kmeans(vecs, len(ids), dim, c, cfg.KMeansIters, sampleCap, r)
+	// 3√rows clusters, finer than the classic √rows so each probed cluster
+	// hands fewer rows to the exact rescorer.
+	c := min(max(3*int(math.Sqrt(float64(len(ids)))), 1), min(maxClustersPerShard, len(ids)))
+	sh.centroids = kmeans(vecs, len(ids), dim, c, r)
 	// Final assignment pass: every finite row joins its nearest centroid.
 	sh.members = make([][]int32, c)
 	for i, id := range ids {
@@ -294,16 +276,16 @@ func nearestCentroid(p, centroids []float32, dim int) int {
 }
 
 // kmeans runs k-means++ seeding and Lloyd iterations over a sample of the
-// points (training cost is bounded by sampleCap regardless of shard size)
-// and returns c centroids of dim floats each.
-func kmeans(vecs []float32, npts, dim, c, iters, sampleCap int, r *rng.RNG) []float32 {
+// points (training cost is bounded by samplePerCluster·c regardless of shard
+// size) and returns c centroids of dim floats each.
+func kmeans(vecs []float32, npts, dim, c int, r *rng.RNG) []float32 {
 	// Training sample: a seeded permutation prefix when the shard exceeds
 	// the cap, else every point.
 	sample := make([]int, npts)
 	for i := range sample {
 		sample[i] = i
 	}
-	if npts > sampleCap {
+	if sampleCap := samplePerCluster * c; npts > sampleCap {
 		r.ShuffleInts(sample)
 		sample = sample[:sampleCap]
 		sort.Ints(sample) // keep memory walks forward
@@ -349,7 +331,7 @@ func kmeans(vecs []float32, npts, dim, c, iters, sampleCap int, r *rng.RNG) []fl
 	sums := make([]float64, c*dim)
 	counts := make([]int, c)
 	assign := make([]int, len(sample))
-	for it := 0; it < iters; it++ {
+	for it := 0; it < kmeansIters; it++ {
 		for i := range sums {
 			sums[i] = 0
 		}

@@ -27,14 +27,14 @@ import (
 	"inf2vec/internal/trainer"
 )
 
+// initProb initializes every observed edge probability.
+const initProb = 0.1
+
 // Config controls the EM estimator.
 type Config struct {
 	// Iterations is the number of EM rounds (paper: converges in 10–20).
 	// Zero selects 20.
 	Iterations int
-	// InitProb initializes every observed edge probability. Zero selects
-	// 0.1.
-	InitProb float64
 	// Workers bounds E-step parallelism. Zero or one runs single-threaded;
 	// results are bitwise identical at any worker count (EM has no sampling,
 	// so the estimate is the same fixed-point iteration regardless).
@@ -47,14 +47,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 20
 	}
-	if cfg.InitProb == 0 {
-		cfg.InitProb = 0.1
-	}
 	if cfg.Iterations < 0 {
 		return cfg, fmt.Errorf("em: iterations %d must be positive", cfg.Iterations)
-	}
-	if cfg.InitProb <= 0 || cfg.InitProb >= 1 {
-		return cfg, fmt.Errorf("em: initial probability %v outside (0,1)", cfg.InitProb)
 	}
 	return cfg, nil
 }
@@ -159,7 +153,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg C
 
 	// Initialize only edges that ever had a trial; others stay 0.
 	for slot := range trials {
-		probs.SetAt(slot, cfg.InitProb)
+		probs.SetAt(slot, initProb)
 	}
 
 	numer := make(map[int64]float64, len(trials))

@@ -12,14 +12,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{Iterations: -1}).withDefaults(); err == nil {
 		t.Error("negative iterations accepted")
 	}
-	if _, err := (Config{InitProb: 1.5}).withDefaults(); err == nil {
-		t.Error("InitProb > 1 accepted")
-	}
 	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Iterations != 20 || cfg.InitProb != 0.1 {
+	if cfg.Iterations != 20 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

@@ -37,6 +37,9 @@ import (
 	"inf2vec/internal/vecmath"
 )
 
+// learningRate is the M-step SGD step size.
+const learningRate = 0.05
+
 // Config controls Emb-IC training.
 type Config struct {
 	// Dim is the embedding dimension (paper comparisons use the same K as
@@ -44,8 +47,6 @@ type Config struct {
 	Dim int
 	// Iterations is the number of EM rounds. Zero selects 15.
 	Iterations int
-	// LearningRate is the M-step SGD step size. Zero selects 0.05.
-	LearningRate float64
 	// Seed drives initialization and example shuffling.
 	Seed uint64
 	// Workers bounds E-step/M-step parallelism. Zero or one runs
@@ -62,10 +63,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 15
 	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 0.05
-	}
-	if cfg.Dim < 0 || cfg.Iterations < 0 || cfg.LearningRate < 0 {
+	if cfg.Dim < 0 || cfg.Iterations < 0 {
 		return cfg, fmt.Errorf("embic: negative hyperparameter in %+v", cfg)
 	}
 	return cfg, nil
@@ -247,10 +245,10 @@ func TrainContext(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg C
 		sc.loss = 0
 		if unit < len(groups) {
 			for j, ex := range groups[unit] {
-				sc.prepare(m, ex, resp[unit][j], cfg.LearningRate)
+				sc.prepare(m, ex, resp[unit][j])
 			}
 		} else {
-			sc.prepare(m, failures[unit-len(groups)], 0, cfg.LearningRate)
+			sc.prepare(m, failures[unit-len(groups)], 0)
 		}
 	}
 	mCommit := func(unit int, a any, tot *trainer.Totals) {
@@ -272,7 +270,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg C
 
 	run, err := trainer.Run(ctx, trainer.RunConfig{
 		Method: "embic", Epochs: cfg.Iterations,
-		LearningRate: func(int) float64 { return cfg.LearningRate },
+		LearningRate: func(int) float64 { return learningRate },
 		Telemetry:    cfg.Telemetry,
 		Probe:        func() bool { return m.Store.SampleNonFinite(4096) },
 	}, func(done <-chan struct{}, epoch int) trainer.Totals {
@@ -320,7 +318,7 @@ type eScratch struct {
 }
 
 // preparedExp is one M-step exposure with its gradient coefficient
-// (label − σ(s))·lr computed against the round-start parameters.
+// (label − σ(s))·learningRate computed against the round-start parameters.
 type preparedExp struct {
 	u, v int32
 	g    float32
@@ -336,10 +334,10 @@ type mScratch struct {
 // prepare scores one exposure against the current (round-start) parameters
 // and stages its update. Loss is the exposure's expected complete-data
 // log-likelihood term label·ln σ(s) + (1−label)·ln(1−σ(s)).
-func (sc *mScratch) prepare(m *Model, ex exposure, label, lr float64) {
+func (sc *mScratch) prepare(m *Model, ex exposure, label float64) {
 	d := vecmath.SquaredDistance(m.Store.SourceVec(ex.u), m.Store.TargetVec(ex.v))
 	s := m.Bias - d
 	p := vecmath.Sigmoid(s)
-	sc.exs = append(sc.exs, preparedExp{u: ex.u, v: ex.v, g: float32((label - p) * lr)})
+	sc.exs = append(sc.exs, preparedExp{u: ex.u, v: ex.v, g: float32((label - p) * learningRate)})
 	sc.loss += label*vecmath.LogSigmoid(s) + (1-label)*vecmath.LogSigmoid(-s)
 }

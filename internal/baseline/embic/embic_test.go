@@ -13,7 +13,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Dim != 50 || cfg.Iterations != 15 || cfg.LearningRate != 0.05 {
+	if cfg.Dim != 50 || cfg.Iterations != 15 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if _, err := (Config{Dim: -1}).withDefaults(); err == nil {

@@ -20,6 +20,12 @@ import (
 	"inf2vec/internal/vecmath"
 )
 
+// The SGD step size and the L2 regularization weight.
+const (
+	learningRate = 0.05
+	regWeight    = 0.01
+)
+
 // Config controls BPR training.
 type Config struct {
 	// Dim is the latent dimension. Zero selects 50.
@@ -27,11 +33,6 @@ type Config struct {
 	// Iterations is the number of epochs; each epoch draws one (positive,
 	// negative) pair per observed co-action. Zero selects 20.
 	Iterations int
-	// LearningRate is the SGD step size. Zero selects 0.05.
-	LearningRate float64
-	// Reg is the L2 regularization weight. Zero selects 0.01; negative
-	// disables regularization.
-	Reg float64
 	// Seed drives initialization and sampling.
 	Seed uint64
 	// Workers bounds sampling/gradient parallelism. Zero or one runs
@@ -48,15 +49,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 20
 	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 0.05
-	}
-	if cfg.Reg == 0 {
-		cfg.Reg = 0.01
-	} else if cfg.Reg < 0 {
-		cfg.Reg = 0
-	}
-	if cfg.Dim < 0 || cfg.Iterations < 0 || cfg.LearningRate < 0 {
+	if cfg.Dim < 0 || cfg.Iterations < 0 {
 		return cfg, fmt.Errorf("mf: negative hyperparameter in %+v", cfg)
 	}
 	return cfg, nil
@@ -137,8 +130,7 @@ func TrainContext(ctx context.Context, log *actionlog.Log, cfg Config) (*Result,
 
 	n := log.NumUsers()
 	streamBase := root.Uint64()
-	lr := float32(cfg.LearningRate)
-	reg := float32(cfg.Reg)
+	lr := float32(learningRate)
 	units := int((totalPos + drawChunk - 1) / drawChunk)
 
 	prepare := func(unit int, r *rng.RNG, a any) {
@@ -182,7 +174,7 @@ func TrainContext(ctx context.Context, log *actionlog.Log, cfg Config) (*Result,
 	commit := func(unit int, a any, tot *trainer.Totals) {
 		sc := a.(*drawScratch)
 		for _, tr := range sc.triples {
-			m.bprApply(tr, lr, reg)
+			m.bprApply(tr, lr, regWeight)
 		}
 		tot.Loss += sc.loss
 		tot.Examples += int64(len(sc.triples))
@@ -191,7 +183,7 @@ func TrainContext(ctx context.Context, log *actionlog.Log, cfg Config) (*Result,
 
 	run, err := trainer.Run(ctx, trainer.RunConfig{
 		Method: "mf", Epochs: cfg.Iterations,
-		LearningRate: func(int) float64 { return cfg.LearningRate },
+		LearningRate: func(int) float64 { return learningRate },
 		Telemetry:    cfg.Telemetry,
 		Probe:        func() bool { return store.SampleNonFinite(4096) },
 	}, func(done <-chan struct{}, epoch int) trainer.Totals {

@@ -12,15 +12,8 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Dim != 50 || cfg.Iterations != 20 || cfg.LearningRate != 0.05 || cfg.Reg != 0.01 {
+	if cfg.Dim != 50 || cfg.Iterations != 20 {
 		t.Fatalf("defaults = %+v", cfg)
-	}
-	cfg, err = Config{Reg: -1}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Reg != 0 {
-		t.Fatalf("Reg = %v, want 0 (disabled)", cfg.Reg)
 	}
 	if _, err := (Config{Dim: -2}).withDefaults(); err == nil {
 		t.Error("negative dim accepted")

@@ -19,6 +19,16 @@ import (
 	"inf2vec/internal/walk"
 )
 
+// Hyperparameters fixed at the node2vec paper's defaults.
+const (
+	// returnP and inOutQ are the walk's return and in-out bias parameters.
+	returnP, inOutQ = 1, 1
+	// negativeSamples is the number of negatives per positive.
+	negativeSamples = 5
+	// learningRate is the SGD step size (word2vec's default).
+	learningRate = 0.025
+)
+
 // Config controls node2vec training. Zero values select the node2vec
 // paper's defaults.
 type Config struct {
@@ -32,14 +42,6 @@ type Config struct {
 	WalkLength int
 	// Window is the skip-gram context radius k. Zero selects 10.
 	Window int
-	// P and Q are the return and in-out bias parameters. Zero selects 1.
-	P float64
-	Q float64
-	// NegativeSamples per positive. Zero selects 5.
-	NegativeSamples int
-	// LearningRate is the SGD step size. Zero selects 0.025 (word2vec's
-	// default).
-	LearningRate float64
 	// Epochs over the walk corpus. Zero selects 3.
 	Epochs int
 	// Seed drives walks, sampling and initialization.
@@ -65,23 +67,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 10
 	}
-	if cfg.P == 0 {
-		cfg.P = 1
-	}
-	if cfg.Q == 0 {
-		cfg.Q = 1
-	}
-	if cfg.NegativeSamples == 0 {
-		cfg.NegativeSamples = 5
-	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 0.025
-	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = 3
 	}
-	if cfg.Dim < 0 || cfg.WalksPerNode < 0 || cfg.WalkLength < 0 || cfg.Window < 0 ||
-		cfg.P < 0 || cfg.Q < 0 || cfg.NegativeSamples < 0 || cfg.LearningRate < 0 || cfg.Epochs < 0 {
+	if cfg.Dim < 0 || cfg.WalksPerNode < 0 || cfg.WalkLength < 0 || cfg.Window < 0 || cfg.Epochs < 0 {
 		return cfg, fmt.Errorf("node2vec: negative hyperparameter in %+v", cfg)
 	}
 	return cfg, nil
@@ -150,14 +139,18 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 	for u := int32(0); u < g.NumNodes(); u++ {
 		counts[u] = int64(g.OutDegree(u) + g.InDegree(u))
 	}
-	neg, err := rng.NewUnigramTable(counts, 0.75)
+	w, err := rng.UnigramWeights(counts, 0.75)
+	if err != nil {
+		return nil, fmt.Errorf("node2vec: negative table: %w", err)
+	}
+	neg, err := rng.NewAlias(w)
 	if err != nil {
 		return nil, fmt.Errorf("node2vec: negative table: %w", err)
 	}
 
 	streamBase := root.Uint64()
-	lr := float32(cfg.LearningRate)
-	walker := &walk.Node2vec{G: g, P: cfg.P, Q: cfg.Q}
+	lr := float32(learningRate)
+	walker := &walk.Node2vec{G: g, P: returnP, Q: inOutQ}
 
 	// Each unit (one walk) runs the classic sequential skip-gram SGD against
 	// a private overlay of the rows it touches, so the word2vec numerics —
@@ -193,7 +186,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 			}
 			apply(context, 1)
 			sc.positives++
-			for s := 0; s < cfg.NegativeSamples; s++ {
+			for s := 0; s < negativeSamples; s++ {
 				w, ok := sampleNegative(neg, r, center, context)
 				if !ok {
 					sc.skips++
@@ -230,7 +223,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 
 	run, err := trainer.Run(ctx, trainer.RunConfig{
 		Method: "node2vec", Epochs: cfg.Epochs,
-		LearningRate: func(int) float64 { return cfg.LearningRate },
+		LearningRate: func(int) float64 { return learningRate },
 		Telemetry:    cfg.Telemetry,
 		Probe:        func() bool { return store.SampleNonFinite(4096) },
 	}, func(done <-chan struct{}, epoch int) trainer.Totals {
@@ -380,7 +373,7 @@ const maxNegativeDraws = 8
 // collisions outright, silently shrinking the effective negative count near
 // high-degree nodes; bounded resampling keeps the count honest, and
 // exhaustion (degenerate near-single-node tables) is counted as a skip.
-func sampleNegative(neg *rng.UnigramTable, r *rng.RNG, center, context int32) (int32, bool) {
+func sampleNegative(neg *rng.Alias, r *rng.RNG, center, context int32) (int32, bool) {
 	for i := 0; i < maxNegativeDraws; i++ {
 		if w := neg.Sample(r); w != context && w != center {
 			return w, true

@@ -13,12 +13,11 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Dim != 50 || cfg.WalksPerNode != 10 || cfg.WalkLength != 80 ||
-		cfg.Window != 10 || cfg.P != 1 || cfg.Q != 1 || cfg.NegativeSamples != 5 ||
-		cfg.LearningRate != 0.025 || cfg.Epochs != 3 {
+		cfg.Window != 10 || cfg.Epochs != 3 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if _, err := (Config{P: -1}).withDefaults(); err == nil {
-		t.Error("negative P accepted")
+	if _, err := (Config{Window: -1}).withDefaults(); err == nil {
+		t.Error("negative Window accepted")
 	}
 }
 

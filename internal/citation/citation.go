@@ -22,29 +22,31 @@ import (
 	"inf2vec/internal/rng"
 )
 
+// The network's shape, fixed for the study.
+const (
+	// numCommunities is the number of research communities.
+	numCommunities = 8
+	// maxAuthorsPerPaper bounds the author list (uniform 1..max).
+	maxAuthorsPerPaper = 3
+	// maxCitesPerPaper bounds the reference list (uniform 3..max).
+	maxCitesPerPaper = 12
+	// sameCommunityBias is the probability a citation stays within the
+	// citing paper's community.
+	sameCommunityBias = 0.8
+	// prolificAlpha is the Pareto shape of author activity (strongly
+	// heavy-tailed, like real authorship).
+	prolificAlpha = 1.2
+	// trainFraction of influence pairs is used for training, the rest is
+	// test (the paper's 80/20 split).
+	trainFraction = 0.8
+)
+
 // Config parameterizes the synthetic citation network.
 type Config struct {
 	// NumAuthors sizes the author universe (paper: 4,259). Zero selects 800.
 	NumAuthors int32
 	// NumPapers is the number of papers (paper: 4,345). Zero selects 1600.
 	NumPapers int
-	// NumCommunities is the number of research communities. Zero selects 8.
-	NumCommunities int
-	// MaxAuthorsPerPaper bounds the author list (uniform 1..Max). Zero
-	// selects 3.
-	MaxAuthorsPerPaper int
-	// MaxCitesPerPaper bounds the reference list (uniform 3..Max). Zero
-	// selects 12.
-	MaxCitesPerPaper int
-	// SameCommunityBias is the probability a citation stays within the
-	// citing paper's community. Zero selects 0.8.
-	SameCommunityBias float64
-	// ProlificAlpha is the Pareto shape of author activity; zero selects
-	// 1.2 (strongly heavy-tailed, like real authorship).
-	ProlificAlpha float64
-	// TrainFraction of influence pairs used for training; the rest is test.
-	// Zero selects 0.8 (the paper's split).
-	TrainFraction float64
 	// Seed drives generation and the split.
 	Seed uint64
 }
@@ -56,39 +58,11 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.NumPapers == 0 {
 		cfg.NumPapers = 1600
 	}
-	if cfg.NumCommunities == 0 {
-		cfg.NumCommunities = 8
-	}
-	if cfg.MaxAuthorsPerPaper == 0 {
-		cfg.MaxAuthorsPerPaper = 3
-	}
-	if cfg.MaxCitesPerPaper == 0 {
-		cfg.MaxCitesPerPaper = 12
-	}
-	if cfg.SameCommunityBias == 0 {
-		cfg.SameCommunityBias = 0.8
-	}
-	if cfg.ProlificAlpha == 0 {
-		cfg.ProlificAlpha = 1.2
-	}
-	if cfg.TrainFraction == 0 {
-		cfg.TrainFraction = 0.8
-	}
 	switch {
-	case cfg.NumAuthors < int32(cfg.NumCommunities) || cfg.NumCommunities < 1:
-		return cfg, fmt.Errorf("citation: need at least one author per community (%d authors, %d communities)", cfg.NumAuthors, cfg.NumCommunities)
+	case cfg.NumAuthors < numCommunities:
+		return cfg, fmt.Errorf("citation: need at least one author per community (%d authors, %d communities)", cfg.NumAuthors, numCommunities)
 	case cfg.NumPapers < 2:
 		return cfg, fmt.Errorf("citation: NumPapers %d < 2", cfg.NumPapers)
-	case cfg.MaxAuthorsPerPaper < 1:
-		return cfg, fmt.Errorf("citation: MaxAuthorsPerPaper %d < 1", cfg.MaxAuthorsPerPaper)
-	case cfg.MaxCitesPerPaper < 3:
-		return cfg, fmt.Errorf("citation: MaxCitesPerPaper %d < 3", cfg.MaxCitesPerPaper)
-	case cfg.SameCommunityBias < 0 || cfg.SameCommunityBias > 1:
-		return cfg, fmt.Errorf("citation: SameCommunityBias %v outside [0,1]", cfg.SameCommunityBias)
-	case cfg.ProlificAlpha <= 0:
-		return cfg, fmt.Errorf("citation: ProlificAlpha %v must be positive", cfg.ProlificAlpha)
-	case cfg.TrainFraction <= 0 || cfg.TrainFraction >= 1:
-		return cfg, fmt.Errorf("citation: TrainFraction %v outside (0,1)", cfg.TrainFraction)
 	}
 	return cfg, nil
 }
@@ -121,15 +95,15 @@ func Generate(cfg Config) (*Data, error) {
 	}
 
 	// Authors: community assignment + heavy-tailed activity weights.
-	byCommunity := make([][]int32, cfg.NumCommunities)
-	weights := make([][]float64, cfg.NumCommunities)
+	byCommunity := make([][]int32, numCommunities)
+	weights := make([][]float64, numCommunities)
 	for a := int32(0); a < cfg.NumAuthors; a++ {
-		c := r.Intn(cfg.NumCommunities)
+		c := r.Intn(numCommunities)
 		d.Community[a] = c
 		byCommunity[c] = append(byCommunity[c], a)
-		weights[c] = append(weights[c], r.Pareto(1, cfg.ProlificAlpha))
+		weights[c] = append(weights[c], r.Pareto(1, prolificAlpha))
 	}
-	samplers := make([]*rng.Alias, cfg.NumCommunities)
+	samplers := make([]*rng.Alias, numCommunities)
 	for c := range samplers {
 		if len(weights[c]) == 0 {
 			continue
@@ -148,13 +122,13 @@ func Generate(cfg Config) (*Data, error) {
 	}
 	papers := make([]paper, 0, cfg.NumPapers)
 	var pairs []diffusion.Pair
-	byCommunityPapers := make([][]int, cfg.NumCommunities)
+	byCommunityPapers := make([][]int, numCommunities)
 	for p := 0; p < cfg.NumPapers; p++ {
-		c := r.Intn(cfg.NumCommunities)
+		c := r.Intn(numCommunities)
 		for samplers[c] == nil { // empty community: redraw
-			c = r.Intn(cfg.NumCommunities)
+			c = r.Intn(numCommunities)
 		}
-		nAuth := 1 + r.Intn(cfg.MaxAuthorsPerPaper)
+		nAuth := 1 + r.Intn(maxAuthorsPerPaper)
 		authors := make([]int32, 0, nAuth)
 		seen := make(map[int32]bool, nAuth)
 		for len(authors) < nAuth {
@@ -173,10 +147,10 @@ func Generate(cfg Config) (*Data, error) {
 
 		// Citations to earlier papers.
 		if p > 0 {
-			nCites := 3 + r.Intn(cfg.MaxCitesPerPaper-2)
+			nCites := 3 + r.Intn(maxCitesPerPaper-2)
 			for cite := 0; cite < nCites; cite++ {
 				var target int
-				if r.Bernoulli(cfg.SameCommunityBias) && len(byCommunityPapers[c]) > 0 {
+				if r.Bernoulli(sameCommunityBias) && len(byCommunityPapers[c]) > 0 {
 					target = byCommunityPapers[c][r.Intn(len(byCommunityPapers[c]))]
 				} else {
 					target = r.Intn(p)
@@ -196,7 +170,7 @@ func Generate(cfg Config) (*Data, error) {
 
 	// 80/20 split of the influence relationships.
 	perm := r.Perm(len(pairs))
-	nTrain := int(float64(len(pairs)) * cfg.TrainFraction)
+	nTrain := int(float64(len(pairs)) * trainFraction)
 	d.TrainPairs = make([]diffusion.Pair, 0, nTrain)
 	d.TestPairs = make([]diffusion.Pair, 0, len(pairs)-nTrain)
 	for i, j := range perm {

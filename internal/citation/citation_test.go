@@ -16,13 +16,8 @@ func smallConfig(seed uint64) Config {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{NumAuthors: 2, NumCommunities: 8},
+		{NumAuthors: 2},
 		{NumPapers: 1},
-		{MaxAuthorsPerPaper: -1},
-		{MaxCitesPerPaper: 2},
-		{SameCommunityBias: 1.5},
-		{ProlificAlpha: -1},
-		{TrainFraction: 1.0},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.withDefaults(); err == nil {

@@ -11,6 +11,16 @@ import (
 	"inf2vec/internal/rng"
 )
 
+// Table VI's shape: top-10 follower lists, with qualitative columns for the
+// three most prolific authors.
+const (
+	// listLen is the prediction list length K.
+	listLen = 10
+	// numExamples is how many most-prolific authors get qualitative top-K
+	// tables.
+	numExamples = 3
+)
+
 // StudyConfig controls the §V-D comparison.
 type StudyConfig struct {
 	// Embedding configures the Inf2vec trainer. It always runs on the
@@ -19,11 +29,6 @@ type StudyConfig struct {
 	// MonteCarloRuns is the IC simulation count for the conventional model
 	// (paper: 5,000). Zero selects 500.
 	MonteCarloRuns int
-	// TopK is the prediction list length. Zero selects 10 (Table VI).
-	TopK int
-	// NumExamples is how many most-prolific authors get qualitative top-K
-	// tables. Zero selects 3 (Table VI examines three).
-	NumExamples int
 	// Seed drives the Monte-Carlo simulation.
 	Seed uint64
 }
@@ -31,12 +36,6 @@ type StudyConfig struct {
 func (cfg StudyConfig) withDefaults() StudyConfig {
 	if cfg.MonteCarloRuns == 0 {
 		cfg.MonteCarloRuns = 500
-	}
-	if cfg.TopK == 0 {
-		cfg.TopK = 10
-	}
-	if cfg.NumExamples == 0 {
-		cfg.NumExamples = 3
 	}
 	return cfg
 }
@@ -61,7 +60,7 @@ type Example struct {
 
 // StudyResult aggregates the case study.
 type StudyResult struct {
-	// EmbeddingPrecision and ConventionalPrecision are mean P@TopK over all
+	// EmbeddingPrecision and ConventionalPrecision are mean P@10 over all
 	// test authors (paper: 0.1863 vs 0.0616).
 	EmbeddingPrecision    float64
 	ConventionalPrecision float64
@@ -106,7 +105,7 @@ func RunStudy(d *Data, cfg StudyConfig) (*StudyResult, error) {
 	mcRNG := rng.New(cfg.Seed)
 	var embSum, convSum float64
 
-	prolific := d.MostProlific(cfg.NumExamples)
+	prolific := d.MostProlific(numExamples)
 	wantExample := make(map[int32]bool, len(prolific))
 	for _, a := range prolific {
 		wantExample[a] = true
@@ -129,17 +128,17 @@ func RunStudy(d *Data, cfg StudyConfig) (*StudyResult, error) {
 			truthSet[v] = true
 		}
 
-		embTop := topK(n, exclude, cfg.TopK, func(v int32) float64 { return embedding.Score(u, v) })
+		embTop := topK(n, exclude, func(v int32) float64 { return embedding.Score(u, v) })
 		mc, err := ic.MonteCarlo(context.Background(), probs, []int32{u}, cfg.MonteCarloRuns, mcRNG)
 		if err != nil {
 			return nil, fmt.Errorf("citation: monte carlo: %w", err)
 		}
-		convTop := topK(n, exclude, cfg.TopK, func(v int32) float64 { return mc[v] })
+		convTop := topK(n, exclude, func(v int32) float64 { return mc[v] })
 
 		embHits := markHits(embTop, truthSet)
 		convHits := markHits(convTop, truthSet)
-		embSum += float64(countHits(embHits)) / float64(cfg.TopK)
-		convSum += float64(countHits(convHits)) / float64(cfg.TopK)
+		embSum += float64(countHits(embHits)) / listLen
+		convSum += float64(countHits(convHits)) / listLen
 
 		if wantExample[u] {
 			examples[u] = &Example{
@@ -164,8 +163,9 @@ func RunStudy(d *Data, cfg StudyConfig) (*StudyResult, error) {
 	return res, nil
 }
 
-// topK ranks all non-excluded authors by score, descending, ties by ID.
-func topK(n int32, exclude map[int32]bool, k int, score func(int32) float64) []Prediction {
+// topK ranks all non-excluded authors by score, descending, ties by ID, and
+// returns the first listLen.
+func topK(n int32, exclude map[int32]bool, score func(int32) float64) []Prediction {
 	type scored struct {
 		v int32
 		s float64
@@ -182,9 +182,7 @@ func topK(n int32, exclude map[int32]bool, k int, score func(int32) float64) []P
 		}
 		return all[i].v < all[j].v
 	})
-	if k > len(all) {
-		k = len(all)
-	}
+	k := min(listLen, len(all))
 	out := make([]Prediction, k)
 	for i := 0; i < k; i++ {
 		out[i] = Prediction{Author: all[i].v}

@@ -57,14 +57,6 @@ type Config struct {
 	// DisableBiases drops b_u and b̃_v from the model (ablation of the
 	// paper's global-property argument, §III-B).
 	DisableBiases bool
-	// RegenerateContexts redraws every influence context (fresh random
-	// walks and fresh similarity samples) at the start of each SGD pass,
-	// instead of Algorithm 2's generate-once protocol. This is a
-	// data-augmentation variant: the model sees the expected context
-	// distribution rather than one sample of it, which reduces overfitting
-	// to a particular draw on small logs. Costs one context generation per
-	// iteration.
-	RegenerateContexts bool
 	// FirstOrderOnly skips Algorithm 1 and trains on the raw social
 	// influence pairs only — the setting of the paper's efficiency
 	// comparison ("without Algorithm 1") and of the citation case study.
@@ -215,13 +207,15 @@ const corpusStreamVersion = 2
 // CorpusWorkers is likewise excluded — per-episode RNG streams make the
 // corpus bitwise identical at any corpus worker count — while the stream
 // derivation itself is versioned in. Workers is excluded for the same
-// reason; the SGD pass and its block count are versioned in instead.
+// reason; the SGD pass and its block count are versioned in instead. The
+// literal regen=false is the fingerprint's record of Algorithm 2's
+// generate-once corpus, kept so no existing checkpoint's hash moves.
 func (cfg Config) hash() uint64 {
-	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=%t firstorder=%t sgd=%d blocks=%d seed=%d stream=%d",
+	canonical := fmt.Sprintf("dim=%d len=%d alpha=%g restart=%g lr=%g decay=%t neg=%d iters=%d negpow=%g nobias=%t regen=false firstorder=%t sgd=%d blocks=%d seed=%d stream=%d",
 		cfg.Dim, cfg.ContextLength, cfg.Alpha, cfg.RestartRatio,
 		cfg.LearningRate, cfg.DecayLearningRate, cfg.NegativeSamples,
 		cfg.Iterations, cfg.NegativePower, cfg.DisableBiases,
-		cfg.RegenerateContexts, cfg.FirstOrderOnly, sgdPassVersion, sgdBlocks,
+		cfg.FirstOrderOnly, sgdPassVersion, sgdBlocks,
 		cfg.Seed, corpusStreamVersion)
 	// Streaming-round identity is appended only when set, so the hash of
 	// every pre-existing configuration — and every checkpoint written under

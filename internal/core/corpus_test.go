@@ -142,60 +142,56 @@ func TestMixedContextGlobalPortionExact(t *testing.T) {
 
 // TestResumeAcrossCorpusWorkers proves CorpusWorkers is a pure throughput
 // knob: a checkpoint written under one worker count resumes — bitwise
-// identically — under another, with and without per-epoch corpus
-// regeneration.
+// identically — under another.
 func TestResumeAcrossCorpusWorkers(t *testing.T) {
-	for _, regen := range []bool{false, true} {
-		g, l := faultData(t, 40)
-		dir := t.TempDir()
-		cfg := Config{
-			Dim: 8, Iterations: 6, Seed: 17, Workers: 1, ContextLength: 10,
-			CorpusWorkers:      1,
-			RegenerateContexts: regen,
-			CheckpointPath:     filepath.Join(dir, "train.ckpt"),
-			CheckpointEvery:    1,
-		}
+	g, l := faultData(t, 40)
+	dir := t.TempDir()
+	cfg := Config{
+		Dim: 8, Iterations: 6, Seed: 17, Workers: 1, ContextLength: 10,
+		CorpusWorkers:   1,
+		CheckpointPath:  filepath.Join(dir, "train.ckpt"),
+		CheckpointEvery: 1,
+	}
 
-		ref, err := Train(g, l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ref, err := Train(g, l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Interrupted run at corpus-workers=1.
-		cfg2 := cfg
-		cfg2.CheckpointPath = filepath.Join(dir, "killed.ckpt")
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := testAfterEpoch
-		testAfterEpoch = func(done int, _ *embed.Store) {
-			if done == 3 {
-				cancel()
-			}
+	// Interrupted run at corpus-workers=1.
+	cfg2 := cfg
+	cfg2.CheckpointPath = filepath.Join(dir, "killed.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := testAfterEpoch
+	testAfterEpoch = func(done int, _ *embed.Store) {
+		if done == 3 {
+			cancel()
 		}
-		killed, err := TrainContext(ctx, g, l, cfg2)
-		testAfterEpoch = stop
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !killed.Canceled || len(killed.Epochs) != 3 {
-			t.Fatalf("regen=%t: interrupted run: canceled=%t epochs=%d", regen, killed.Canceled, len(killed.Epochs))
-		}
+	}
+	killed, err := TrainContext(ctx, g, l, cfg2)
+	testAfterEpoch = stop
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !killed.Canceled || len(killed.Epochs) != 3 {
+		t.Fatalf("interrupted run: canceled=%t epochs=%d", killed.Canceled, len(killed.Epochs))
+	}
 
-		// Resume at corpus-workers=8: the regenerated corpus must be the one
-		// the checkpoint trained on.
-		cfg2.CorpusWorkers = 8
-		resumed, err := Resume(context.Background(), g, l, cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resumed.StartEpoch != 3 || resumed.Canceled {
-			t.Fatalf("regen=%t: resume = start %d canceled %t", regen, resumed.StartEpoch, resumed.Canceled)
-		}
-		storesEqual(t, ref.Model.Store, resumed.Model.Store)
-		for i := range ref.Epochs {
-			if ref.Epochs[i].Loss != resumed.Epochs[i].Loss {
-				t.Fatalf("regen=%t: epoch %d loss %v vs resumed %v", regen, i, ref.Epochs[i].Loss, resumed.Epochs[i].Loss)
-			}
+	// Resume at corpus-workers=8: the corpus Resume draws again must be
+	// the one the checkpoint trained on.
+	cfg2.CorpusWorkers = 8
+	resumed, err := Resume(context.Background(), g, l, cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.StartEpoch != 3 || resumed.Canceled {
+		t.Fatalf("resume = start %d canceled %t", resumed.StartEpoch, resumed.Canceled)
+	}
+	storesEqual(t, ref.Model.Store, resumed.Model.Store)
+	for i := range ref.Epochs {
+		if ref.Epochs[i].Loss != resumed.Epochs[i].Loss {
+			t.Fatalf("epoch %d loss %v vs resumed %v", i, ref.Epochs[i].Loss, resumed.Epochs[i].Loss)
 		}
 	}
 }

@@ -70,64 +70,61 @@ func storesEqual(t *testing.T, a, b *embed.Store) {
 // resuming from the checkpoint must be bitwise identical to an
 // uninterrupted single-worker run with the same seed.
 func TestResumeBitwiseExact(t *testing.T) {
-	for _, regen := range []bool{false, true} {
-		g, l := faultData(t, 40)
-		dir := t.TempDir()
-		cfg := Config{
-			Dim: 8, Iterations: 6, Seed: 17, Workers: 1, ContextLength: 10,
-			RegenerateContexts: regen,
-			CheckpointPath:     filepath.Join(dir, "train.ckpt"),
-			CheckpointEvery:    1,
-		}
+	g, l := faultData(t, 40)
+	dir := t.TempDir()
+	cfg := Config{
+		Dim: 8, Iterations: 6, Seed: 17, Workers: 1, ContextLength: 10,
+		CheckpointPath:  filepath.Join(dir, "train.ckpt"),
+		CheckpointEvery: 1,
+	}
 
-		// Uninterrupted reference run.
-		ref, err := Train(g, l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Uninterrupted reference run.
+	ref, err := Train(g, l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		// Interrupted run: stop after epoch 3 via mid-training cancellation.
-		cfg2 := cfg
-		cfg2.CheckpointPath = filepath.Join(dir, "killed.ckpt")
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := testAfterEpoch
-		testAfterEpoch = func(done int, _ *embed.Store) {
-			if done == 3 {
-				cancel()
-			}
+	// Interrupted run: stop after epoch 3 via mid-training cancellation.
+	cfg2 := cfg
+	cfg2.CheckpointPath = filepath.Join(dir, "killed.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := testAfterEpoch
+	testAfterEpoch = func(done int, _ *embed.Store) {
+		if done == 3 {
+			cancel()
 		}
-		killed, err := TrainContext(ctx, g, l, cfg2)
-		testAfterEpoch = stop
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !killed.Canceled {
-			t.Fatal("interrupted run not flagged Canceled")
-		}
-		if len(killed.Epochs) != 3 {
-			t.Fatalf("interrupted run recorded %d epochs, want 3", len(killed.Epochs))
-		}
+	}
+	killed, err := TrainContext(ctx, g, l, cfg2)
+	testAfterEpoch = stop
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !killed.Canceled {
+		t.Fatal("interrupted run not flagged Canceled")
+	}
+	if len(killed.Epochs) != 3 {
+		t.Fatalf("interrupted run recorded %d epochs, want 3", len(killed.Epochs))
+	}
 
-		// Resume and compare bitwise.
-		resumed, err := Resume(context.Background(), g, l, cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resumed.StartEpoch != 3 {
-			t.Fatalf("regen=%t: resumed from epoch %d, want 3", regen, resumed.StartEpoch)
-		}
-		if resumed.Canceled {
-			t.Fatal("resumed run flagged Canceled")
-		}
-		if len(resumed.Epochs) != cfg.Iterations {
-			t.Fatalf("resumed run has %d epoch stats, want %d", len(resumed.Epochs), cfg.Iterations)
-		}
-		storesEqual(t, resumed.Model.Store, ref.Model.Store)
-		for i := range ref.Epochs {
-			if resumed.Epochs[i].Loss != ref.Epochs[i].Loss {
-				t.Fatalf("regen=%t: epoch %d loss %v, reference %v", regen, i, resumed.Epochs[i].Loss, ref.Epochs[i].Loss)
-			}
+	// Resume and compare bitwise.
+	resumed, err := Resume(context.Background(), g, l, cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.StartEpoch != 3 {
+		t.Fatalf("resumed from epoch %d, want 3", resumed.StartEpoch)
+	}
+	if resumed.Canceled {
+		t.Fatal("resumed run flagged Canceled")
+	}
+	if len(resumed.Epochs) != cfg.Iterations {
+		t.Fatalf("resumed run has %d epoch stats, want %d", len(resumed.Epochs), cfg.Iterations)
+	}
+	storesEqual(t, resumed.Model.Store, ref.Model.Store)
+	for i := range ref.Epochs {
+		if resumed.Epochs[i].Loss != ref.Epochs[i].Loss {
+			t.Fatalf("epoch %d loss %v, reference %v", i, resumed.Epochs[i].Loss, ref.Epochs[i].Loss)
 		}
 	}
 }

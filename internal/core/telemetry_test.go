@@ -70,6 +70,9 @@ func TestTelemetryEventStream(t *testing.T) {
 		if e.LearningRate <= 0 {
 			t.Errorf("epoch %d lr = %v, want positive", i+1, e.LearningRate)
 		}
+		if e.Examples != res.NumPositives {
+			t.Errorf("epoch %d examples = %d, want the corpus's %d positives", i+1, e.Examples, res.NumPositives)
+		}
 	}
 
 	// epoch_start pairs with epoch_end and carries the same step size.

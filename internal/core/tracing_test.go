@@ -198,16 +198,6 @@ func TestCorpusSpanCoversContextGeneration(t *testing.T) {
 	}
 }
 
-// TestRegeneratedCorpusSpans checks that every RegenerateContexts redraw is
-// a corpus_gen span of its own.
-func TestRegeneratedCorpusSpans(t *testing.T) {
-	cfg := Config{Dim: 6, Iterations: 3, Seed: 5, ContextLength: 8, Workers: 1, CorpusWorkers: 1, RegenerateContexts: true}
-	run := traceTrain(t, context.Background(), cfg, trainFault(t))
-	if n := len(run.spans(t, "corpus_gen")); n != cfg.Iterations {
-		t.Fatalf("%d corpus_gen spans, want %d (the first draw and one per later epoch)", n, cfg.Iterations)
-	}
-}
-
 // TestEpochSpanCanceled cancels the run while epoch 2 starts: that pass is
 // cut, and its span ends "canceled". Resuming the run from its checkpoint
 // then traces the generation and the epochs that remain.

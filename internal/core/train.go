@@ -142,19 +142,11 @@ func Resume(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config)
 
 // trainOnLog runs Algorithm 2 on a validated configuration: context
 // generation as a corpus_gen span, then the SGD phase, resuming from resume
-// when it is non-nil. Under RegenerateContexts every redraw is a corpus_gen
-// span too.
+// when it is non-nil.
 func trainOnLog(ctx context.Context, g *graph.Graph, log *actionlog.Log, cfg Config, resume *checkpoint.State) (*Result, error) {
 	root := rng.New(cfg.Seed)
 	corpus, ctxTime := generateCorpus(ctx, g, log, cfg, root.Split())
-	var regen func(r *rng.RNG) *Corpus
-	if cfg.RegenerateContexts {
-		regen = func(r *rng.RNG) *Corpus {
-			c, _ := generateCorpus(ctx, g, log, cfg, r)
-			return c
-		}
-	}
-	return trainOnCorpus(ctx, log.NumUsers(), corpus, cfg, root, ctxTime, regen, resume)
+	return trainOnCorpus(ctx, log.NumUsers(), corpus, cfg, root, ctxTime, resume)
 }
 
 // TrainOnCorpus fits the embeddings to an already-generated corpus. It is
@@ -171,21 +163,19 @@ func TrainOnCorpus(numUsers int32, corpus *Corpus, cfg Config) (*Result, error) 
 	if int32(len(corpus.ContextFreq)) != numUsers {
 		return nil, fmt.Errorf("core: corpus frequency table covers %d users, want %d", len(corpus.ContextFreq), numUsers)
 	}
-	return trainOnCorpus(context.Background(), numUsers, corpus, cfg, rng.New(cfg.Seed), 0, nil, nil)
+	return trainOnCorpus(context.Background(), numUsers, corpus, cfg, rng.New(cfg.Seed), 0, nil)
 }
 
 // trainOnCorpus is the shared SGD phase of Algorithm 2 (lines 9–17),
 // wrapped in the fault-tolerance layer: cooperative cancellation, periodic
 // atomic checkpoints, and divergence detection with rollback recovery.
-// regen, when non-nil, redraws the corpus before every epoch after the
-// first (RegenerateContexts).
 //
 // Each pass is an "epoch" child span of ctx's span, and checkpoint writes
 // and divergence recoveries are events on ctx's span. A pass cut by
 // cancellation ends its span "canceled"; a panic unwinding through an open
 // one (the streaming pipeline's injected crashes) ends it "aborted". With
 // no span in ctx, none of this allocates or records anything.
-func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Config, root *rng.RNG, ctxTime time.Duration, regen func(*rng.RNG) *Corpus, resume *checkpoint.State) (*Result, error) {
+func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Config, root *rng.RNG, ctxTime time.Duration, resume *checkpoint.State) (*Result, error) {
 	store, err := embed.New(numUsers, cfg.Dim)
 	if err != nil {
 		return nil, err
@@ -222,7 +212,6 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 
 	sgdRNG := root.Split() // one draw per pass keys every cell's stream
 	orderRNG := root.Split()
-	baseCorpus, baseStrata := corpus, st
 	cfgHash := cfg.hash()
 
 	epoch := 0                 // completed epochs; invariant: len(res.Epochs) == epoch
@@ -336,20 +325,6 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			cfg.emit(trainer.Event{Kind: trainer.EventTrainEnd, Epochs: epoch, Canceled: true})
 			return res, nil
 		}
-		if regen != nil {
-			if epoch > 0 {
-				corpus = regen(root.Split())
-				var nerr error
-				st, nerr = newStrata(corpus, cfg.NegativePower)
-				if nerr != nil {
-					return nil, fmt.Errorf("core: rebuilding negative-sampling tables: %w", nerr)
-				}
-			} else if corpus != baseCorpus {
-				// Rolled back (or re-initialized) to epoch 0: epoch 0 trains
-				// on the original draw, not the last regenerated one.
-				corpus, st = baseCorpus, baseStrata
-			}
-		}
 		order := orderRNG.Perm(len(corpus.Tuples))
 		gamma := gammaAt(cfg, epoch, lrScale)
 		span = obs.ChildSpan(ctx, "epoch")
@@ -360,7 +335,6 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		cfg.emit(trainer.Event{Kind: trainer.EventEpochStart, Epoch: epoch + 1, LearningRate: float64(gamma)})
 		t0 := time.Now()
 		totals := sgdPass(done, store, corpus.Tuples, order, st, cfg, gamma, sgdRNG)
-		totalLoss, totalPos := totals.Loss, totals.Examples
 		if ctx.Err() != nil {
 			// Canceled mid-pass: the pass stopped early, the store holds a
 			// usable partial update but not an epoch boundary, so the pass
@@ -371,14 +345,14 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 			return res, nil
 		}
 		stat := EpochStat{Duration: time.Since(t0)}
-		if totalPos > 0 {
-			stat.Loss = totalLoss / float64(totalPos)
+		if totals.Examples > 0 {
+			stat.Loss = totals.Loss / float64(totals.Examples)
 		}
 		res.Epochs = append(res.Epochs, stat)
 		epoch++
 		perSec := 0.0
 		if s := stat.Duration.Seconds(); s > 0 {
-			perSec = float64(totalPos) / s
+			perSec = float64(totals.Examples) / s
 		}
 		if span != nil {
 			span.SetAttr("loss", stat.Loss)
@@ -388,7 +362,7 @@ func trainOnCorpus(ctx context.Context, numUsers int32, corpus *Corpus, cfg Conf
 		cfg.emit(trainer.Event{
 			Kind: trainer.EventEpochEnd, Epoch: epoch, Loss: stat.Loss,
 			DurationSeconds: stat.Duration.Seconds(), ExamplesPerSec: perSec,
-			LearningRate: float64(gamma),
+			LearningRate: float64(gamma), Examples: totals.Examples, Skips: totals.Skips,
 		})
 		if testAfterEpoch != nil {
 			testAfterEpoch(epoch, store)

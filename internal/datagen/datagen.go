@@ -35,6 +35,23 @@ import (
 	"inf2vec/internal/rng"
 )
 
+// Shape parameters both presets share.
+const (
+	// abilityCap truncates the Pareto ability draws. The cap keeps a single
+	// super-influencer hub from flipping the whole cascade regime, which
+	// keeps dataset character stable across seeds while preserving the
+	// heavy tail below the cap.
+	abilityCap = 15
+	// activityAlpha is the Pareto shape of per-user activity levels —
+	// heavy-tailed adoption propensity, like real Digg's super-voters. The
+	// draws are capped at activityCap and normalized to mean 1 so the
+	// expected action volume stays put.
+	activityAlpha = 1.4
+	activityCap   = 12
+	// meanDelay is the mean of the exponential propagation delay.
+	meanDelay = 1
+)
+
 // Config parameterizes dataset synthesis.
 type Config struct {
 	// Name labels the dataset in reports ("digg-like", "flickr-like").
@@ -56,11 +73,6 @@ type Config struct {
 	// AbilityAlpha is the Pareto shape of user influence ability; smaller
 	// means heavier tail (more extreme influencers).
 	AbilityAlpha float64
-	// AbilityCap truncates the Pareto ability draws. The cap keeps a single
-	// super-influencer hub from flipping the whole cascade regime, which
-	// keeps dataset character stable across seeds while preserving the
-	// heavy tail below the cap.
-	AbilityCap float64
 	// BaseInfluence scales the planted probability of ordinary (weak-tie)
 	// edges.
 	BaseInfluence float64
@@ -79,14 +91,6 @@ type Config struct {
 	// adopting without influence (multiplied by the user's interest in the
 	// item's topic and the user's activity level).
 	SpontaneousRate float64
-	// ActivityAlpha is the Pareto shape of per-user activity levels —
-	// heavy-tailed adoption propensity, like real Digg's super-voters. The
-	// draws are capped at ActivityCap and normalized to mean 1 so the
-	// expected action volume stays put.
-	ActivityAlpha float64
-	ActivityCap   float64
-	// MeanDelay is the mean of the exponential propagation delay.
-	MeanDelay float64
 	// ObservationRate is the probability that an adoption makes it into
 	// the recorded action log. Real vote/favorite logs are partial views
 	// of the underlying adoption process; partial observability is one of
@@ -110,15 +114,11 @@ func DiggLike(seed uint64) Config {
 		NumTopics:         10,
 		InterestSharpness: 0.78,
 		AbilityAlpha:      1.6,
-		AbilityCap:        15,
 		BaseInfluence:     0.003,
 		StrongTieFraction: 0.032,
 		StrongTieProb:     0.3,
 		MaxEdgeProb:       0.8,
 		SpontaneousRate:   0.02,
-		ActivityAlpha:     1.4,
-		ActivityCap:       12,
-		MeanDelay:         1,
 		ObservationRate:   0.75,
 		Seed:              seed,
 	}
@@ -138,15 +138,11 @@ func FlickrLike(seed uint64) Config {
 		NumTopics:         16,
 		InterestSharpness: 0.6,
 		AbilityAlpha:      1.8,
-		AbilityCap:        15,
 		BaseInfluence:     0.0015,
 		StrongTieFraction: 0.018,
 		StrongTieProb:     0.28,
 		MaxEdgeProb:       0.6,
 		SpontaneousRate:   0.015,
-		ActivityAlpha:     1.4,
-		ActivityCap:       12,
-		MeanDelay:         1,
 		ObservationRate:   0.8,
 		Seed:              seed,
 	}
@@ -186,8 +182,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("datagen: InterestSharpness %v outside (0,1]", cfg.InterestSharpness)
 	case cfg.AbilityAlpha <= 0:
 		return fmt.Errorf("datagen: AbilityAlpha %v must be positive", cfg.AbilityAlpha)
-	case cfg.AbilityCap <= 1:
-		return fmt.Errorf("datagen: AbilityCap %v must exceed 1", cfg.AbilityCap)
 	case cfg.BaseInfluence < 0 || cfg.BaseInfluence > 1:
 		return fmt.Errorf("datagen: BaseInfluence %v outside [0,1]", cfg.BaseInfluence)
 	case cfg.StrongTieFraction < 0 || cfg.StrongTieFraction > 1:
@@ -198,12 +192,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("datagen: MaxEdgeProb %v outside (0,1]", cfg.MaxEdgeProb)
 	case cfg.SpontaneousRate < 0 || cfg.SpontaneousRate > 1:
 		return fmt.Errorf("datagen: SpontaneousRate %v outside [0,1]", cfg.SpontaneousRate)
-	case cfg.ActivityAlpha <= 0:
-		return fmt.Errorf("datagen: ActivityAlpha %v must be positive", cfg.ActivityAlpha)
-	case cfg.ActivityCap <= 1:
-		return fmt.Errorf("datagen: ActivityCap %v must exceed 1", cfg.ActivityCap)
-	case cfg.MeanDelay <= 0:
-		return fmt.Errorf("datagen: MeanDelay %v must be positive", cfg.MeanDelay)
 	case cfg.ObservationRate <= 0 || cfg.ObservationRate > 1:
 		return fmt.Errorf("datagen: ObservationRate %v outside (0,1]", cfg.ObservationRate)
 	}
@@ -229,8 +217,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	abilityRNG := root.Split()
 	for u := range abilities {
 		abilities[u] = abilityRNG.Pareto(1, cfg.AbilityAlpha)
-		if abilities[u] > cfg.AbilityCap {
-			abilities[u] = cfg.AbilityCap
+		if abilities[u] > abilityCap {
+			abilities[u] = abilityCap
 		}
 		conformities[u] = 0.5 + abilityRNG.Float64() // in [0.5, 1.5)
 	}
@@ -254,9 +242,9 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds.Activity = make([]float64, cfg.NumUsers)
 	var actSum float64
 	for u := range ds.Activity {
-		a := interestRNG.Pareto(1, cfg.ActivityAlpha)
-		if a > cfg.ActivityCap {
-			a = cfg.ActivityCap
+		a := interestRNG.Pareto(1, activityAlpha)
+		if a > activityCap {
+			a = activityCap
 		}
 		ds.Activity[u] = a
 		actSum += a
@@ -417,7 +405,7 @@ func simulateEpisode(ds *Dataset, item int32, r *rng.RNG, actions []actionlog.Ac
 				continue
 			}
 			if r.Float64() < ds.TrueProbs.Prob(ev.user, v) {
-				heap.Push(&h, adoption{time: ev.time + r.ExpFloat64()*cfg.MeanDelay, user: v})
+				heap.Push(&h, adoption{time: ev.time + r.ExpFloat64()*meanDelay, user: v})
 			}
 		}
 	}

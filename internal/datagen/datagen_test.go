@@ -30,7 +30,6 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.BaseInfluence = -1 },
 		func(c *Config) { c.MaxEdgeProb = 0 },
 		func(c *Config) { c.SpontaneousRate = 2 },
-		func(c *Config) { c.MeanDelay = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := small(1)

@@ -41,13 +41,6 @@ type Options struct {
 	// used by unit tests and smoke runs; results keep their ordering but
 	// are noisier. Zero selects 1.
 	Scale int
-	// MonteCarloRuns for IC-based diffusion scoring (paper: 5,000). Zero
-	// selects 300 (reduced: 50).
-	MonteCarloRuns int
-	// Inf2vecRuns is the number of independently seeded Inf2vec trainings
-	// used for the stddev rows of Tables II/III (paper: 10). Zero selects 3
-	// (reduced: 1).
-	Inf2vecRuns int
 	// Workers bounds baseline training: how many baselines train at once,
 	// and each one's parallelism. Every model the suite trains, Inf2vec's
 	// included, is bitwise the same at any value. Zero selects
@@ -76,20 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale < 1 {
 		o.Scale = 1
-	}
-	if o.MonteCarloRuns == 0 {
-		if o.reduced() {
-			o.MonteCarloRuns = 50
-		} else {
-			o.MonteCarloRuns = 300
-		}
-	}
-	if o.Inf2vecRuns == 0 {
-		if o.reduced() {
-			o.Inf2vecRuns = 1
-		} else {
-			o.Inf2vecRuns = 3
-		}
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()
@@ -229,7 +208,7 @@ type trainedModels struct {
 	embIC *embic.Model
 	mf    *mf.Model
 	n2v   *node2vec.Model
-	inf   []*core.Model // Inf2vecRuns independently seeded models
+	inf   []*core.Model // independently seeded models for the stddev rows
 
 	// Tune-split selections: the paper fixes each method's free knobs "based
 	// on the empirical study on tuning set"; we do the same per dataset.
@@ -499,7 +478,13 @@ func (s *Suite) tuneAndTrainInf2vec(ds *SplitDataset, m *trainedModels) error {
 	}
 	m.infAlpha = best.alpha
 	m.inf = []*core.Model{best.model}
-	for run := 1; run < s.opts.Inf2vecRuns; run++ {
+	// Independently seeded trainings for the stddev rows of Tables II/III
+	// (paper: 10).
+	runs := 3
+	if s.opts.reduced() {
+		runs = 1
+	}
+	for run := 1; run < runs; run++ {
 		cfg := s.inf2vecConfig(s.opts.Seed + 10 + uint64(run))
 		cfg.Alpha = best.alpha
 		res, err := core.TrainContext(ctx, ds.Graph, ds.Train, cfg)

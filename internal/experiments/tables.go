@@ -129,7 +129,10 @@ func (s *Suite) TableII() ([]DatasetResults, error) {
 // dataset.
 func (s *Suite) diffusionScorers(ds *SplitDataset, m *trainedModels) map[string][]eval.DiffusionScoreFunc {
 	n := ds.Log.NumUsers()
-	runs := s.opts.MonteCarloRuns
+	runs := 300 // Monte-Carlo runs per IC diffusion score (paper: 5,000)
+	if s.opts.reduced() {
+		runs = 50
+	}
 	seed := s.opts.Seed + 1000
 	out := map[string][]eval.DiffusionScoreFunc{
 		"DE":       {eval.MonteCarloDiffusionScorer(ds.Graph, m.de, runs, seed+1)},

@@ -27,7 +27,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"time"
 
 	"inf2vec/internal/graph"
 	"inf2vec/internal/ic"
@@ -44,9 +43,6 @@ const (
 	StopCanceled = "canceled"
 	// StopBudget: Config.MaxEvaluations spread estimations were spent.
 	StopBudget = "budget"
-	// StopEvalTimeout: one spread evaluation exceeded Config.PerEvalTimeout
-	// while the request context was still live — a slow-oracle guard.
-	StopEvalTimeout = "eval_timeout"
 	// StopOracle: the fault-injection hook (or a failing oracle adapter)
 	// reported an evaluation error.
 	StopOracle = "oracle_error"
@@ -69,10 +65,6 @@ type Config struct {
 	// (the compute budget). Zero means unlimited; exhaustion stops the run
 	// with the seeds selected so far (Result.Partial, StopBudget).
 	MaxEvaluations int
-	// PerEvalTimeout bounds a single spread evaluation, guarding against a
-	// pathologically slow oracle. Zero means no per-evaluation bound; expiry
-	// stops the run (Result.Partial, StopEvalTimeout).
-	PerEvalTimeout time.Duration
 	// Hooks inject faults for testing; zero value is inert.
 	Hooks Hooks
 }
@@ -157,16 +149,14 @@ func validateCandidates(cands []int32, n int32) error {
 // Greedy selects cfg.Seeds users by CELF-accelerated greedy maximization of
 // expected IC spread under the given edge probabilities.
 //
-// It is anytime: deadline expiry, cancellation, budget exhaustion, a
-// per-evaluation timeout or an injected oracle failure all end the run
-// gracefully with (Result{Partial: true, Stopped: why}, nil) carrying the
-// seeds selected so far. A non-nil error is returned only for invalid
-// configuration.
+// It is anytime: deadline expiry, cancellation, budget exhaustion or an
+// injected oracle failure all end the run gracefully with
+// (Result{Partial: true, Stopped: why}, nil) carrying the seeds selected so
+// far. A non-nil error is returned only for invalid configuration.
 //
-// probs is tabulated inside evaluation 0, after Hooks.BeforeEval and under
-// that evaluation's context, so the per-evaluation timeout and the deadline
-// bound it like any spread estimate. It must answer as a pure function of
-// (u, v) for the run (see ic.EdgeProber).
+// probs is tabulated inside evaluation 0, after Hooks.BeforeEval, so the
+// deadline bounds it like any spread estimate. It must answer as a pure
+// function of (u, v) for the run (see ic.EdgeProber).
 func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config) (*Result, error) {
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("infmax: seed budget %d must be positive", cfg.Seeds)
@@ -179,9 +169,6 @@ func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config
 	}
 	if cfg.MaxEvaluations < 0 {
 		return nil, fmt.Errorf("infmax: MaxEvaluations %d must not be negative", cfg.MaxEvaluations)
-	}
-	if cfg.PerEvalTimeout < 0 {
-		return nil, fmt.Errorf("infmax: PerEvalTimeout %v must not be negative", cfg.PerEvalTimeout)
 	}
 	candidates := cfg.Candidates
 	if candidates == nil {
@@ -212,34 +199,23 @@ func Greedy(ctx context.Context, g *graph.Graph, probs ic.EdgeProber, cfg Config
 				return 0, errStop{StopOracle}
 			}
 		}
-		evalCtx, cancel := ctx, context.CancelFunc(nil)
-		if cfg.PerEvalTimeout > 0 {
-			evalCtx, cancel = context.WithTimeout(ctx, cfg.PerEvalTimeout)
-		}
 		res.Evaluations++
 		var s float64
 		var err error
 		if table == nil {
-			table, err = ic.Tabulate(evalCtx, g, probs)
+			table, err = ic.Tabulate(ctx, g, probs)
 		}
 		if err == nil {
-			s, err = ic.ExpectedSpread(evalCtx, table, seeds, cfg.MonteCarloRuns, r)
-		}
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			return s, nil
+			s, err = ic.ExpectedSpread(ctx, table, seeds, cfg.MonteCarloRuns, r)
 		}
 		switch {
+		case err == nil:
+			return s, nil
 		case ctx.Err() == context.DeadlineExceeded:
 			return 0, errStop{StopDeadline}
-		case ctx.Err() != nil:
-			return 0, errStop{StopCanceled}
 		default:
-			// The parent context is live, so the per-evaluation context
-			// expired on its own: the oracle was too slow for one estimate.
-			return 0, errStop{StopEvalTimeout}
+			// The runs are positive, so only ctx can fail an evaluation.
+			return 0, errStop{StopCanceled}
 		}
 	}
 	// stop finalizes an anytime return: the seeds selected so far, flagged.

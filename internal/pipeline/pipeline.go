@@ -83,6 +83,23 @@ var ErrCrashed = errors.New("pipeline: crashed at injected crash point")
 // crashPanic unwinds an injected crash to the Step boundary.
 type crashPanic struct{ point string }
 
+// tailTimeout and publishTimeout are the per-attempt deadlines of the tail
+// stage and of the publish and notify stages.
+const (
+	tailTimeout    = 30 * time.Second
+	publishTimeout = 30 * time.Second
+)
+
+// Stage retry policy: each stage gets up to maxStageRetries attempts beyond
+// the first, with exponential backoff from backoffBase, capped at
+// backoffMax, between them. Variables, not constants, so tests can shorten
+// the retry loop.
+var (
+	maxStageRetries = 4
+	backoffBase     = 100 * time.Millisecond
+	backoffMax      = 5 * time.Second
+)
+
 // Config configures a Pipeline.
 type Config struct {
 	// Graph is the social graph; its node count fixes the user universe for
@@ -103,20 +120,11 @@ type Config struct {
 	Train core.Config
 	// PollInterval is how often Run looks for new actions. Default 2s.
 	PollInterval time.Duration
-	// TailTimeout, TrainTimeout and PublishTimeout are per-attempt stage
-	// deadlines. Defaults: 30s, unbounded, 30s. A training attempt cut off
-	// by TrainTimeout checkpoints at the epoch boundary and the retry
-	// resumes from it, so the deadline bounds attempt latency, not progress.
-	TailTimeout    time.Duration
-	TrainTimeout   time.Duration
-	PublishTimeout time.Duration
-	// MaxStageRetries bounds per-Step attempts of each stage beyond the
-	// first. Default 4; negative disables retries.
-	MaxStageRetries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts (with ±50% jitter). Defaults 100ms and 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// TrainTimeout is the per-attempt deadline of the train stage; zero
+	// leaves it unbounded. A training attempt cut off by TrainTimeout
+	// checkpoints at the epoch boundary and the retry resumes from it, so
+	// the deadline bounds attempt latency, not progress.
+	TrainTimeout time.Duration
 	// Notify signals the serving layer after a successful publish (e.g.
 	// serve.Server.Reload, or SIGHUP to a pid). Failed notifies are retried
 	// every Step — and re-sent after a restart — until one succeeds. Nil
@@ -152,24 +160,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 2 * time.Second
-	}
-	if cfg.TailTimeout <= 0 {
-		cfg.TailTimeout = 30 * time.Second
-	}
-	if cfg.PublishTimeout <= 0 {
-		cfg.PublishTimeout = 30 * time.Second
-	}
-	if cfg.MaxStageRetries == 0 {
-		cfg.MaxStageRetries = 4
-	}
-	if cfg.MaxStageRetries < 0 {
-		cfg.MaxStageRetries = 0
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 5 * time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -434,7 +424,7 @@ func (p *Pipeline) Step(ctx context.Context) (published bool, err error) {
 	// final line stays in the file for the next Step.
 	var fresh []actionlog.Action
 	var next int64
-	err = p.runStage(ctx, "tail", p.cfg.TailTimeout, func(context.Context) error {
+	err = p.runStage(ctx, "tail", tailTimeout, func(context.Context) error {
 		p.crash("tail_read")
 		acts, n, err := actionlog.TailTSV(p.cfg.LogPath, p.tailedTo)
 		if err != nil {
@@ -464,7 +454,7 @@ func (p *Pipeline) Step(ctx context.Context) (published bool, err error) {
 		published = true
 	}
 	if p.needNotify {
-		if err := p.runStage(ctx, "notify", p.cfg.PublishTimeout, func(nctx context.Context) error {
+		if err := p.runStage(ctx, "notify", publishTimeout, func(nctx context.Context) error {
 			p.crash("notify")
 			if p.cfg.Notify == nil {
 				return nil
@@ -572,7 +562,7 @@ func (p *Pipeline) doRound(ctx context.Context) error {
 
 	store := res.Model.Store
 	intent := actionlog.Cursor{Offset: toOffset, ModelCRC: store.Checksum()}
-	err = p.runStage(ctx, "publish", p.cfg.PublishTimeout, func(context.Context) error {
+	err = p.runStage(ctx, "publish", publishTimeout, func(context.Context) error {
 		if err := actionlog.SaveCursor(p.intentPath, intent); err != nil {
 			return err
 		}
@@ -633,7 +623,7 @@ func (p *Pipeline) trainOnce(ctx context.Context, tcfg core.Config, alog *action
 // consult, and bounded exponential backoff with jitter between attempts.
 func (p *Pipeline) runStage(ctx context.Context, stage string, timeout time.Duration, fn func(context.Context) error) error {
 	var lastErr error
-	attempts := p.cfg.MaxStageRetries + 1
+	attempts := maxStageRetries + 1
 	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -700,12 +690,12 @@ func (p *Pipeline) failOnce(stage string) error {
 	return p.cfg.Hooks.Fail(stage)
 }
 
-// backoff returns the pre-attempt delay: BackoffBase·2^(attempt-1), capped
-// at BackoffMax, with ±50% jitter so restarting fleets do not thunder.
+// backoff returns the pre-attempt delay: backoffBase·2^(attempt-1), capped
+// at backoffMax, with ±50% jitter so restarting fleets do not thunder.
 func (p *Pipeline) backoff(attempt int) time.Duration {
-	d := p.cfg.BackoffBase << (attempt - 1)
-	if d > p.cfg.BackoffMax || d <= 0 {
-		d = p.cfg.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := d / 2
 	if half > 0 {

@@ -31,6 +31,13 @@ var crashPoints = []string{
 	"publish", "offset_write", "notify",
 }
 
+// TestMain shortens the stage retry policy so the fault tests retry in
+// milliseconds: two retries, 1–4 ms of backoff.
+func TestMain(m *testing.M) {
+	maxStageRetries, backoffBase, backoffMax = 2, time.Millisecond, 4*time.Millisecond
+	os.Exit(m.Run())
+}
+
 const testUsers = 12
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -99,15 +106,12 @@ func trainCfg() core.Config {
 func pipeCfg(t *testing.T, dir string) Config {
 	t.Helper()
 	return Config{
-		Graph:           testGraph(t),
-		LogPath:         filepath.Join(dir, "actions.tsv"),
-		ModelPath:       filepath.Join(dir, "model.i2v"),
-		Train:           trainCfg(),
-		PollInterval:    time.Millisecond,
-		MaxStageRetries: 2,
-		BackoffBase:     time.Millisecond,
-		BackoffMax:      4 * time.Millisecond,
-		Logger:          quietLogger(),
+		Graph:        testGraph(t),
+		LogPath:      filepath.Join(dir, "actions.tsv"),
+		ModelPath:    filepath.Join(dir, "model.i2v"),
+		Train:        trainCfg(),
+		PollInterval: time.Millisecond,
+		Logger:       quietLogger(),
 	}
 }
 
@@ -446,6 +450,58 @@ func TestMismatchedCheckpointTrainsFresh(t *testing.T) {
 	}
 	if got := readFile(t, cfg.ModelPath); !bytes.Equal(got, refNew) {
 		t.Fatal("fresh retrain published different bytes than the uninterrupted run")
+	}
+}
+
+// TestCrashRevivesPublishedRoundCheckpoint brings back a round's checkpoint
+// after the round published. The pipeline deletes it with os.Remove and no
+// directory fsync, so a power loss can undo the removal. The copy is taken
+// when the publish stage starts, with the round's final checkpoint on disk;
+// the restarted pipeline must not resume the next round from it, and must
+// publish the bytes of the uninterrupted run.
+func TestCrashRevivesPublishedRoundCheckpoint(t *testing.T) {
+	_, refNew := referenceModels(t)
+
+	dir := t.TempDir()
+	cfg := pipeCfg(t, dir)
+	ckpt := cfg.ModelPath + ".ckpt"
+	var saved []byte
+	cfg.Hooks.Fail = func(point string) error {
+		if point == "publish" && saved == nil {
+			saved = readFile(t, ckpt)
+		}
+		return nil
+	}
+	appendLines(t, cfg.LogPath, phaseLines(0))
+	p1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mustStep(t, p1) {
+		t.Fatal("round 1 did not publish")
+	}
+	if saved == nil {
+		t.Fatal("round 1 never reached the publish stage")
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("round checkpoint outlived its publish: %v", err)
+	}
+
+	// Power loss: the removal never reached the directory.
+	if err := os.WriteFile(ckpt, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendLines(t, cfg.LogPath, phaseLines(1))
+	cfg.Hooks = Hooks{}
+	p2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mustStep(t, p2) {
+		t.Fatal("round 2 did not publish")
+	}
+	if got := readFile(t, cfg.ModelPath); !bytes.Equal(got, refNew) {
+		t.Fatal("round 2 published different bytes than the uninterrupted run")
 	}
 }
 

@@ -121,27 +121,6 @@ func (a *Alias) Sample(r *RNG) int32 {
 	return s.alias
 }
 
-// UnigramTable is the word2vec-style negative-sampling distribution: outcome
-// i is drawn proportionally to count[i]^power (power 0.75 in word2vec; power
-// 0 yields the uniform distribution the Inf2vec paper describes). It is an
-// alias table underneath, so sampling is O(1).
-type UnigramTable struct {
-	alias *Alias
-}
-
-// NewUnigramTable builds a table over UnigramWeights(counts, power).
-func NewUnigramTable(counts []int64, power float64) (*UnigramTable, error) {
-	w, err := UnigramWeights(counts, power)
-	if err != nil {
-		return nil, err
-	}
-	a, err := NewAlias(w)
-	if err != nil {
-		return nil, err
-	}
-	return &UnigramTable{alias: a}, nil
-}
-
 // UnigramWeights returns the unnormalized weights of the unigram
 // distribution: counts raised to power. Outcomes with zero count still
 // receive a tiny floor weight so that every node can appear as a negative
@@ -175,9 +154,3 @@ func UnigramWeights(counts []int64, power float64) ([]float64, error) {
 	}
 	return w, nil
 }
-
-// Sample draws one outcome index.
-func (t *UnigramTable) Sample(r *RNG) int32 { return t.alias.Sample(r) }
-
-// Len returns the number of outcomes.
-func (t *UnigramTable) Len() int { return t.alias.Len() }

@@ -187,87 +187,62 @@ func TestAliasThresholdDecidesLikeFloat64(t *testing.T) {
 	}
 }
 
-func TestUnigramTablePower(t *testing.T) {
-	counts := []int64{1, 16}
+func TestUnigramWeightsPower(t *testing.T) {
 	// With power 0.75 the ratio should be 16^0.75 : 1 = 8 : 1.
-	u, err := NewUnigramTable(counts, 0.75)
+	w, err := UnigramWeights([]int64{1, 16}, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(41)
-	const draws = 200000
-	n1 := 0
-	for i := 0; i < draws; i++ {
-		if u.Sample(r) == 1 {
-			n1++
-		}
-	}
-	got := float64(n1) / float64(draws-n1)
-	if math.Abs(got-8) > 0.5 {
-		t.Errorf("unigram^0.75 ratio = %v, want ~8", got)
+	if got := w[1] / w[0]; math.Abs(got-8) > 1e-12 {
+		t.Errorf("unigram^0.75 ratio = %v, want 8", got)
 	}
 }
 
-func TestUnigramTableUniformPower(t *testing.T) {
-	counts := []int64{100, 1, 50, 7}
-	u, err := NewUnigramTable(counts, 0)
+func TestUnigramWeightsUniformPower(t *testing.T) {
+	w, err := UnigramWeights([]int64{100, 1, 50, 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(43)
-	const draws = 100000
-	buckets := make([]int, len(counts))
-	for i := 0; i < draws; i++ {
-		buckets[u.Sample(r)]++
-	}
-	want := float64(draws) / float64(len(counts))
-	for i, c := range buckets {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("power=0 bucket %d: got %d, want ~%.0f", i, c, want)
+	for i, x := range w {
+		if x != 1 {
+			t.Errorf("power=0 weight %d = %v, want 1", i, x)
 		}
 	}
 }
 
-func TestUnigramTableZeroCountsGetFloor(t *testing.T) {
-	counts := []int64{0, 1000, 0}
-	u, err := NewUnigramTable(counts, 0.75)
+func TestUnigramWeightsZeroCountsGetFloor(t *testing.T) {
+	w, err := UnigramWeights([]int64{0, 1000, 0}, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(47)
-	seen := map[int32]bool{}
-	for i := 0; i < 200000; i++ {
-		seen[u.Sample(r)] = true
+	floor := math.Pow(1000, 0.75) / 3 * 1e-3
+	for _, i := range []int{0, 2} {
+		if w[i] != floor {
+			t.Errorf("zero-count weight %d = %v, want the floor %v", i, w[i], floor)
+		}
 	}
-	for i := int32(0); i < 3; i++ {
-		if !seen[i] {
-			t.Errorf("outcome %d never sampled despite floor", i)
+	if w[1] <= floor {
+		t.Errorf("observed weight %v not above the floor %v", w[1], floor)
+	}
+}
+
+func TestUnigramWeightsAllZero(t *testing.T) {
+	w, err := UnigramWeights([]int64{0, 0, 0}, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range w {
+		if x != 1 {
+			t.Errorf("all-zero counts should be uniform; weight %d = %v", i, x)
 		}
 	}
 }
 
-func TestUnigramTableAllZero(t *testing.T) {
-	u, err := NewUnigramTable([]int64{0, 0, 0}, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(53)
-	buckets := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		buckets[u.Sample(r)]++
-	}
-	for i, c := range buckets {
-		if c < 8000 {
-			t.Errorf("all-zero counts should be uniform; bucket %d = %d", i, c)
-		}
-	}
-}
-
-func TestUnigramTableRejectsNegative(t *testing.T) {
-	if _, err := NewUnigramTable([]int64{1, -2}, 0.75); !errors.Is(err, ErrBadWeights) {
+func TestUnigramWeightsRejectsNegative(t *testing.T) {
+	if _, err := UnigramWeights([]int64{1, -2}, 0.75); !errors.Is(err, ErrBadWeights) {
 		t.Errorf("err = %v, want ErrBadWeights", err)
 	}
-	if _, err := NewUnigramTable(nil, 0.75); !errors.Is(err, ErrBadWeights) {
+	if _, err := UnigramWeights(nil, 0.75); !errors.Is(err, ErrBadWeights) {
 		t.Errorf("err = %v, want ErrBadWeights", err)
 	}
 }

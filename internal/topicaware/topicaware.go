@@ -24,6 +24,9 @@ import (
 	"inf2vec/internal/graph"
 )
 
+// lambda weighs the topic-specific score against the global one.
+const lambda = 0.5
+
 // Config controls topic-aware training.
 type Config struct {
 	// Base configures every underlying Inf2vec trainer.
@@ -32,23 +35,14 @@ type Config struct {
 	// for its own model; sparser topics use the global model only. Zero
 	// selects 10.
 	MinEpisodes int
-	// Lambda weighs the topic-specific score against the global one. Zero
-	// selects 0.5; it must stay within [0,1].
-	Lambda float64
 }
 
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MinEpisodes == 0 {
 		cfg.MinEpisodes = 10
 	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 0.5
-	}
 	if cfg.MinEpisodes < 0 {
 		return cfg, fmt.Errorf("topicaware: MinEpisodes %d must be positive", cfg.MinEpisodes)
-	}
-	if cfg.Lambda < 0 || cfg.Lambda > 1 {
-		return cfg, fmt.Errorf("topicaware: Lambda %v outside [0,1]", cfg.Lambda)
 	}
 	return cfg, nil
 }
@@ -62,8 +56,6 @@ type Model struct {
 	PerTopic map[int]*core.Model
 	// ItemTopic maps item ID to topic (shared with the caller).
 	ItemTopic []int
-
-	lambda float64
 }
 
 // Train fits the global model on the full training log and one specialist
@@ -82,7 +74,6 @@ func Train(g *graph.Graph, train *actionlog.Log, itemTopic []int, cfg Config) (*
 		Global:    globalRes.Model,
 		PerTopic:  make(map[int]*core.Model),
 		ItemTopic: itemTopic,
-		lambda:    cfg.Lambda,
 	}
 
 	// Partition episodes by topic.
@@ -123,7 +114,7 @@ func Train(g *graph.Graph, train *actionlog.Log, itemTopic []int, cfg Config) (*
 func (m *Model) Score(z int, u, v int32) float64 {
 	global := m.Global.Score(u, v)
 	if topic, ok := m.PerTopic[z]; ok {
-		return m.lambda*topic.Score(u, v) + (1-m.lambda)*global
+		return lambda*topic.Score(u, v) + (1-lambda)*global
 	}
 	return global
 }

@@ -14,14 +14,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{MinEpisodes: -1}).withDefaults(); err == nil {
 		t.Error("negative MinEpisodes accepted")
 	}
-	if _, err := (Config{Lambda: 1.5}).withDefaults(); err == nil {
-		t.Error("Lambda > 1 accepted")
-	}
 	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MinEpisodes != 10 || cfg.Lambda != 0.5 {
+	if cfg.MinEpisodes != 10 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }

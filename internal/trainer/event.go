@@ -9,8 +9,7 @@ const (
 	// EventCorpusProgress is emitted during Inf2vec's context generation
 	// (Algorithm 2 lines 3–8): periodically while episodes are being
 	// processed and once on completion, carrying episodes done/total,
-	// throughput and the corpus worker count. It precedes train_start on a
-	// fresh run and recurs mid-stream under RegenerateContexts.
+	// throughput and the corpus worker count. It precedes train_start.
 	EventCorpusProgress EventKind = "corpus_progress"
 	// EventTrainStart is emitted once per training call, before the first
 	// pass: carries the epoch count (and, for Inf2vec, the corpus shape and
@@ -77,8 +76,9 @@ type Event struct {
 	// (train_start).
 	NumTuples    int   `json:"tuples,omitempty"`
 	NumPositives int64 `json:"positives,omitempty"`
-	// Examples is the pass's example count; Skips its abandoned-draw count
-	// (see Totals.Skips). Engine-backed baselines report both.
+	// Examples is the pass's example count (for Inf2vec, its positives);
+	// Skips its abandoned-draw count (see Totals.Skips). Inf2vec and every
+	// engine-backed baseline report both on epoch_end.
 	Examples int64 `json:"examples,omitempty"`
 	Skips    int64 `json:"skips,omitempty"`
 	// EpisodesDone, EpisodesTotal, EpisodesPerSec and CorpusWorkers report

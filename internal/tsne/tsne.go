@@ -16,6 +16,9 @@ import (
 	"inf2vec/internal/rng"
 )
 
+// learningRate is the gradient descent step size.
+const learningRate = 100
+
 // Config controls the embedding.
 type Config struct {
 	// Perplexity is the effective neighbor count (default 30; it is clamped
@@ -23,8 +26,6 @@ type Config struct {
 	Perplexity float64
 	// Iterations of gradient descent (default 500).
 	Iterations int
-	// LearningRate of gradient descent (default 100).
-	LearningRate float64
 	// Seed drives the initial layout.
 	Seed uint64
 }
@@ -36,10 +37,7 @@ func (cfg Config) withDefaults(n int) (Config, error) {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 500
 	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = 100
-	}
-	if cfg.Perplexity < 1 || cfg.Iterations < 1 || cfg.LearningRate <= 0 {
+	if cfg.Perplexity < 1 || cfg.Iterations < 1 {
 		return cfg, fmt.Errorf("tsne: invalid config %+v", cfg)
 	}
 	if maxPerp := float64(n-1) / 3; cfg.Perplexity > maxPerp && maxPerp >= 1 {
@@ -140,8 +138,8 @@ func Embed(x [][]float32, cfg Config) ([]Point, error) {
 		for i := range y {
 			gain[i].X = updateGain(gain[i].X, grad[i].X, vel[i].X)
 			gain[i].Y = updateGain(gain[i].Y, grad[i].Y, vel[i].Y)
-			vel[i].X = momentum*vel[i].X - cfg.LearningRate*gain[i].X*grad[i].X
-			vel[i].Y = momentum*vel[i].Y - cfg.LearningRate*gain[i].Y*grad[i].Y
+			vel[i].X = momentum*vel[i].X - learningRate*gain[i].X*grad[i].X
+			vel[i].Y = momentum*vel[i].Y - learningRate*gain[i].Y*grad[i].Y
 			y[i].X += vel[i].X
 			y[i].Y += vel[i].Y
 		}
