@@ -179,9 +179,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 				gc := (label - sig) * lr
 				vecmath.AxpyTwo(gc, tx, sc.srcGrad, su, tx)
 				if label == 1 {
-					sc.loss += vecmath.LogSigmoid(float64(z))
+					sc.loss += float64(vecmath.FastLogSigmoid(z))
 				} else {
-					sc.loss += vecmath.LogSigmoid(-float64(z))
+					sc.loss += float64(vecmath.FastLogSigmoid(-z))
 				}
 			}
 			apply(context, 1)

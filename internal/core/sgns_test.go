@@ -24,7 +24,7 @@ var (
 )
 
 // passFunc runs one SGD pass over tuples in order; sgdPass is one.
-type passFunc func(done <-chan struct{}, store *embed.Store, tuples []Tuple, order []int, st *strata, cfg Config, gamma float32, r *rng.RNG) trainer.Totals
+type passFunc func(done <-chan struct{}, p *blockParams, tuples []Tuple, order []int, st *strata, cfg Config, gamma float32, r *rng.RNG) trainer.Totals
 
 // referencePass is the per-example SGD sequence the block step replaced,
 // in the stratified pass's order: sub-epoch by sub-epoch, cell (i, (i+s)
@@ -33,13 +33,17 @@ type passFunc func(done <-chan struct{}, store *embed.Store, tuples []Tuple, ord
 // stream. Each positive, then each negative as it is drawn, goes through
 // applyExample on its own, and S_u takes the accumulated gradient once per
 // positive; each cell sums its own totals, and the cells' totals add up in
-// cell order. It runs the cells one at a time, over tuples as generated:
-// it reads the contexts of orig, which newStrata never reorders, in place
-// of the tuples it is passed. It is the specification the block step must
-// reproduce bit for bit, at any worker count. Each example's loss term
-// comes from loss.
-func referencePass(loss lossFunc, orig []Tuple) passFunc {
-	return func(_ <-chan struct{}, store *embed.Store, _ []Tuple, order []int, st *strata, cfg Config, gamma float32, r *rng.RNG) trainer.Totals {
+// cell order. It runs the cells one at a time on user ids throughout: on
+// the parameters in user order (p drained into a store, and filled back
+// after the pass), on the contexts of orig, which newStrata never rewrites,
+// in place of the tuples it is passed, and on neg, tables that draw user
+// ids (userTables). It is the specification the block step must reproduce
+// bit for bit, at any worker count. Each example's loss term comes from
+// loss.
+func referencePass(loss lossFunc, orig []Tuple, neg [sgdBlocks]*rng.Alias) passFunc {
+	return func(_ <-chan struct{}, p *blockParams, _ []Tuple, order []int, _ *strata, cfg Config, gamma float32, r *rng.RNG) trainer.Totals {
+		store := p.store()
+		defer p.fill(store)
 		tuples := orig
 		base := r.Uint64()
 		srcGrad := make([]float32, store.Dim())
@@ -66,7 +70,7 @@ func referencePass(loss lossFunc, orig []Tuple) passFunc {
 						tot.Loss += applyExample(store, su, bu, u, v, 1, gamma, srcGrad, cfg, loss)
 						tot.Examples++
 						for n := 0; n < cfg.NegativeSamples; n++ {
-							w, ok := sampleNegative(st.neg[j], cr, u, v)
+							w, ok := sampleNegative(neg[j], cr, u, v)
 							if !ok {
 								tot.Skips++
 								continue
@@ -86,6 +90,33 @@ func referencePass(loss lossFunc, orig []Tuple) passFunc {
 		}
 		return tot
 	}
+}
+
+// userTables builds each block's negative table over user ids, as
+// newStrata builds its tables over rows: the unigram weights and floor of
+// every user, restricted to the block, in id order; nil for an empty block.
+func userTables(t *testing.T, counts []int64, power float64) [sgdBlocks]*rng.Alias {
+	t.Helper()
+	w, err := rng.UnigramWeights(counts, power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users [sgdBlocks][]int32
+	var weights [sgdBlocks][]float64
+	for u, x := range w {
+		j := userBlock(int32(u))
+		users[j] = append(users[j], int32(u))
+		weights[j] = append(weights[j], x)
+	}
+	var neg [sgdBlocks]*rng.Alias
+	for j := range neg {
+		if len(users[j]) > 0 {
+			if neg[j], err = rng.NewAliasOver(weights[j], users[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return neg
 }
 
 // applyExample performs one example's update for pair (u,x) with the given
@@ -121,7 +152,8 @@ type sgnsRun struct {
 }
 
 // runSGNS initializes a store from a fixed seed and runs passes of pass
-// over tuples on one stream, shuffling each pass.
+// over tuples on one stream, shuffling each pass, on a working copy of the
+// store. It gives the contexts their user ids back before it returns.
 func runSGNS(t *testing.T, pass passFunc,
 	users int32, tuples []Tuple, counts []int64, power float64, cfg Config, passes int) sgnsRun {
 	t.Helper()
@@ -134,14 +166,17 @@ func runSGNS(t *testing.T, pass passFunc,
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.restore(tuples)
+	p := newBlockParams(st, cfg.Dim)
+	p.fill(store)
 	worker, order := rng.New(4), rng.New(5)
 	var run sgnsRun
-	for p := 0; p < passes; p++ {
-		tot := pass(nil, store, tuples, order.Perm(len(tuples)), st, cfg, 0.5/float32(p+1), worker)
+	for i := 0; i < passes; i++ {
+		tot := pass(nil, p, tuples, order.Perm(len(tuples)), st, cfg, 0.5/float32(i+1), worker)
 		run.totals = append(run.totals, tot)
 	}
 	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
+	if err := p.store().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	run.store = buf.Bytes()
@@ -206,8 +241,9 @@ func TestBlockStepMatchesPerExample(t *testing.T) {
 						for k, tp := range tuples {
 							orig[k] = Tuple{Center: tp.Center, Context: slices.Clone(tp.Context)}
 						}
-						want := runSGNS(t, referencePass(tableLoss, orig), uv.users, tuples, uv.counts, uv.power, cfg, 3)
-						exact := runSGNS(t, referencePass(exactLoss, orig), uv.users, tuples, uv.counts, uv.power, cfg, 3)
+						neg := userTables(t, uv.counts, uv.power)
+						want := runSGNS(t, referencePass(tableLoss, orig, neg), uv.users, tuples, uv.counts, uv.power, cfg, 3)
+						exact := runSGNS(t, referencePass(exactLoss, orig, neg), uv.users, tuples, uv.counts, uv.power, cfg, 3)
 						got := runSGNS(t, sgdPass, uv.users, tuples, uv.counts, uv.power, cfg, 3)
 						cfg2 := cfg
 						cfg2.Workers = 2
@@ -279,10 +315,18 @@ func TestBlockStepNonFiniteLoss(t *testing.T) {
 			}
 			store.Init(rng.New(3))
 			tc.poison(store)
-			b := newSGNSBlock(store, 2, 0.025, true)
-			b.targets = append(b.targets[:0], 1, 2, 3)
+			st, err := newStrata(&Corpus{ContextFreq: make([]int64, 4)}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := newBlockParams(st, 8)
+			p.fill(store)
+			b := newSGNSBlock(8, 2, 0.025, true)
+			j := userBlock(0) // the four users share one chunk
+			b.cell(p, j, j)
+			b.targets = append(b.targets[:0], st.rows[1], st.rows[2], st.rows[3])
 			var loss float64
-			b.step(0, &loss)
+			b.step(st.rows[0], &loss)
 			if !tc.want(loss) {
 				t.Errorf("loss = %v after a step over a poisoned logit", loss)
 			}
@@ -311,21 +355,22 @@ func TestSubBlockEnd(t *testing.T) {
 	}
 }
 
-// TestSubEpochCellsOwnDisjointCacheLines runs every cell of every
-// sub-epoch alone on its own copy of one store, and checks what each
-// changed. A cell changes S rows and b_u of its center block only, and T
-// rows and b̃ of its target block only. The cells of one sub-epoch change
-// disjoint aligned pairs of 64-byte lines of S, T, b and b̃, counted from
-// each array's start, for K = 8, 16 and 50: blocks own whole pairs, so
-// the goroutines that run a sub-epoch's cells write no line in common,
-// nor a line the prefetcher pairs with one the other writes.
-func TestSubEpochCellsOwnDisjointCacheLines(t *testing.T) {
+// TestSubEpochCellsOwnDisjointPages runs every cell of every sub-epoch
+// alone on one working copy, refilled from one store before each cell, and
+// checks what each changed. A cell changes S rows and b of its center
+// block only, and T rows and b̃ of its target block only. The cells of one
+// sub-epoch change parameters on disjoint 4 KB pages, for K = 8, 16 and
+// 50: each block's S, T, b and b̃ start a page of their own, so the
+// goroutines that run a sub-epoch's cells write no page in common, let
+// alone a cache line or a line pair.
+func TestSubEpochCellsOwnDisjointPages(t *testing.T) {
 	const users = 200
 	tuples := randomTuples(rng.New(8), users, 300, 8)
 	st, err := newStrata(&Corpus{Tuples: tuples, ContextFreq: make([]int64, users)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.restore(tuples)
 	order := rng.New(9).Perm(len(tuples))
 	for _, dim := range []int{8, 16, 50} {
 		store, err := embed.New(users, dim)
@@ -333,57 +378,59 @@ func TestSubEpochCellsOwnDisjointCacheLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.Init(rng.New(10))
+		p := newBlockParams(st, dim)
 		for s := 0; s < sgdBlocks; s++ {
-			owner := map[[2]int]int{} // (array, line pair) -> the cell that changed it
+			owner := map[uintptr]int{} // 4 KB page -> the cell that changed a parameter on it
 			for i := 0; i < sgdBlocks; i++ {
 				j := (i + s) % sgdBlocks
 				c := i*sgdBlocks + j
-				cell := store.Clone()
-				w := &cellWorker{b: newSGNSBlock(cell, 5, 0.5, true)}
+				p.fill(store)
+				w := &cellWorker{b: newSGNSBlock(dim, 5, 0.5, true)}
 				w.r.ReseedKeyed(77, uint64(c))
-				if tot := w.run(nil, tuples, order, st, i, j); tot.Examples == 0 {
+				if tot := w.run(nil, tuples, order, st, p, i, j); tot.Examples == 0 {
 					t.Fatalf("K=%d: cell (%d, %d) trained no positive", dim, i, j)
 				}
-				for _, ch := range changedParams(store, cell) {
-					if want := [4]int{i, j, i, j}[ch.array]; userBlock(ch.user) != want {
-						t.Errorf("K=%d: cell (%d, %d) changed array %d of user %d in block %d", dim, i, j, ch.array, ch.user, userBlock(ch.user))
+				for _, ch := range changedParams(store, p) {
+					if want := [4]int{i, j, i, j}[ch.array]; ch.block != want {
+						t.Errorf("K=%d: cell (%d, %d) changed array %d of user %d in block %d", dim, i, j, ch.array, ch.user, ch.block)
 					}
-					pair := [2]int{ch.array, ch.index * 4 / 128}
-					if o, ok := owner[pair]; ok && o != c {
-						t.Errorf("K=%d, sub-epoch %d: cells %d and %d both change line pair %d of array %d", dim, s, o, c, pair[1], pair[0])
+					page := ch.addr / 4096
+					if o, ok := owner[page]; ok && o != c {
+						t.Errorf("K=%d, sub-epoch %d: cells %d and %d both change page %#x (array %d of user %d)", dim, s, o, c, page, ch.array, ch.user)
 					}
-					owner[pair] = c
+					owner[page] = c
 				}
 			}
 		}
 	}
 }
 
-// paramChange is one float32 of a store that differs between two stores:
-// array 0 is S, 1 is T, 2 is b and 3 is b̃, and index is its offset in
-// that array.
+// paramChange is one float32 of a working copy that differs from the
+// user-order store the copy was filled from: array 0 is S, 1 is T, 2 is b
+// and 3 is b̃; block and user say whose it is, and addr where it lies.
 type paramChange struct {
-	array, index int
+	array, block int
 	user         int32
+	addr         uintptr
 }
 
-func changedParams(a, b *embed.Store) []paramChange {
+func changedParams(from *embed.Store, p *blockParams) []paramChange {
 	var out []paramChange
-	k := a.Dim()
-	for u := int32(0); u < a.NumUsers(); u++ {
-		for x := 0; x < k; x++ {
-			if a.SourceVec(u)[x] != b.SourceVec(u)[x] {
-				out = append(out, paramChange{0, int(u)*k + x, u})
+	k := p.k
+	for j, users := range p.st.users {
+		for r, u := range users {
+			for a, pair := range [4]struct{ got, want []float32 }{
+				{p.s[j][r*k : (r+1)*k], from.SourceVec(u)},
+				{p.t[j][r*k : (r+1)*k], from.TargetVec(u)},
+				{p.bs[j][r : r+1], []float32{*from.BiasSource(u)}},
+				{p.bt[j][r : r+1], []float32{*from.BiasTarget(u)}},
+			} {
+				for x := range pair.got {
+					if pair.got[x] != pair.want[x] {
+						out = append(out, paramChange{a, j, u, addr(pair.got[x:])})
+					}
+				}
 			}
-			if a.TargetVec(u)[x] != b.TargetVec(u)[x] {
-				out = append(out, paramChange{1, int(u)*k + x, u})
-			}
-		}
-		if *a.BiasSource(u) != *b.BiasSource(u) {
-			out = append(out, paramChange{2, int(u), u})
-		}
-		if *a.BiasTarget(u) != *b.BiasTarget(u) {
-			out = append(out, paramChange{3, int(u), u})
 		}
 	}
 	return out
@@ -403,14 +450,17 @@ func TestEmptyBlockTrains(t *testing.T) {
 	if st.neg[empty] != nil {
 		t.Fatalf("block %d holds no user but has a table", empty)
 	}
+	defer st.restore(tuples)
 	for _, workers := range []int{1, 2} {
 		store, err := embed.New(users, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		store.Init(rng.New(2))
+		p := newBlockParams(st, 8)
+		p.fill(store)
 		cfg := Config{Dim: 8, NegativeSamples: 3, Workers: workers}
-		tot := sgdPass(nil, store, tuples, rng.New(3).Perm(len(tuples)), st, cfg, 0.1, rng.New(4))
+		tot := sgdPass(nil, p, tuples, rng.New(3).Perm(len(tuples)), st, cfg, 0.1, rng.New(4))
 		if tot.Examples != 40*5 {
 			t.Errorf("workers=%d: trained %d positives, want %d", workers, tot.Examples, 40*5)
 		}
